@@ -1,15 +1,16 @@
 """Incremental construction of a sparse network from an independence oracle.
 
-The network grows one node at a time. Expert priority picks the next node
-when it ranks a unique candidate highest; otherwise the tied candidates race,
-level by level, to find the smallest predecessor subset that screens them off
-from the rest of the network, and that subset becomes the winner's parents.
+The network grows one node at a time. The candidates that top the expert
+priority race, level by level, to find the smallest predecessor subset that
+screens them off from the rest of the network, and the winner's subset
+becomes its parents; a unique top-priority candidate is a race of one.
 
 Subset search runs in increasing subset size, ascending lexicographic order
-within a size. A subset that failed to screen a candidate off can never
-succeed later against a grown network (the failed dependence persists under
-supersets of the remainder), so failures are cached per (candidate, subset)
-for the whole build and skipped without querying.
+within a size, on int bitmasks (bit v for node v). A subset that failed to
+screen a candidate off can never succeed later against a grown network (the
+failed dependence persists under supersets of the remainder), so failures are
+cached per candidate, as subset masks, and skipped without querying. A placed
+node is never a candidate again, so its cache entry is dropped on placement.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .dag import Dag, EMPTY_SET, NodeSet
+from .dag import Dag, NodeSet, bits, mask_of, nodes_of
 from .dsep import d_separated_checked
 from .expert import ExpertInfo
 from .oracle import IndependenceModel
 
-FailureCache = set[tuple[int, NodeSet]]
+FailureCache = dict[int, set[int]]  # candidate -> masks of failed subsets
 
 
 class StratumNotFoundError(Exception):
@@ -80,48 +81,55 @@ class BuildResult:
 class _CountingModel:
     """Counts the oracle calls one build makes, whatever the model is."""
 
-    __slots__ = ("base", "calls")
+    __slots__ = ("query", "calls")
 
     def __init__(self, base: IndependenceModel):
-        self.base = base
+        self.query = base.is_independent_mask
         self.calls = 0
 
-    def is_independent(self, x, z, y) -> bool:
+    def is_independent_mask(self, x: int, z: int, y: int) -> bool:
         self.calls += 1
-        return self.base.is_independent(x, z, y)
+        return self.query(x, z, y)
 
 
-def _stratum_at_size(
+def _search(
     model,
-    candidate: int,
-    existing: NodeSet,
-    size: int,
-    required: NodeSet,
-    free_pool: Sequence[int],
+    existing: int,
+    candidates: Sequence[int],
+    required: Sequence[int],
+    max_parents: int | None,
     cache: FailureCache | None,
-) -> NodeSet | None:
-    """Search all subsets of one size for a screening set; None if none works.
+) -> tuple[int, NodeSet]:
+    """Race ``candidates`` in lockstep; the first to find a screening subset wins.
 
-    Subsets always include ``required``; sizes below len(required) never
-    match. A subset equal to the whole existing set qualifies without an
-    oracle call (independence from nothing is vacuous).
+    Every candidate tries size k, each subset holding its ``required`` mask,
+    before any tries k+1. The whole existing set qualifies without a query
+    (independence from nothing is vacuous).
     """
-    pick = size - len(required)
-    if pick < 0 or pick > len(free_pool):
-        return None
-    xset = frozenset((candidate,))
-    for combo in itertools.combinations(free_pool, pick):
-        subset = frozenset(combo) if not required else required | frozenset(combo)
-        if cache is not None and (candidate, subset) in cache:
-            continue
-        rest = existing - subset
-        if not rest:
-            return subset
-        if model.is_independent(xset, subset, rest):
-            return subset
-        if cache is not None:
-            cache.add((candidate, subset))
-    return None
+    query = model.is_independent_mask
+    races = []
+    for c, req in zip(candidates, required):
+        pool = [1 << v for v in bits(existing & ~req)]
+        # uncached, failures live for this call, which tries no pair twice
+        failed = cache.setdefault(c, set()) if cache is not None else set()
+        races.append((c, 1 << c, req, req.bit_count(), pool, failed))
+    limit = existing.bit_count()
+    if max_parents is not None:
+        limit = min(max_parents, limit)
+    for size in range(limit + 1):
+        for c, xbit, req, forced, pool, failed in races:
+            pick = size - forced
+            if pick < 0 or pick > len(pool):
+                continue
+            for combo in itertools.combinations(pool, pick):
+                subset = req | sum(combo)
+                if subset in failed:
+                    continue
+                rest = existing ^ subset
+                if not rest or query(xbit, subset, rest):
+                    return c, nodes_of(subset)
+                failed.add(subset)
+    raise StratumNotFoundError(candidates[0], max_parents)
 
 
 def boundary_stratum(
@@ -140,23 +148,15 @@ def boundary_stratum(
     are forced into every subset tried (trust-the-expert mode).
     """
     config = config or BuildConfig()
-    existing = frozenset(existing)
-    required = frozenset(required)
-    if candidate in existing:
+    existing_mask = mask_of(existing)
+    required_mask = mask_of(required)
+    if existing_mask >> candidate & 1:
         raise ValueError("candidate is already part of the network")
-    if not required <= existing:
+    if required_mask & ~existing_mask:
         raise ValueError("required parents must already be in the network")
-    free_pool = sorted(existing - required)
-    limit = len(existing) if config.max_parents is None else min(
-        config.max_parents, len(existing)
-    )
-    for size in range(len(required), limit + 1):
-        found = _stratum_at_size(
-            model, candidate, existing, size, required, free_pool, cache
-        )
-        if found is not None:
-            return found
-    raise StratumNotFoundError(candidate, config.max_parents)
+    return _search(
+        model, existing_mask, [candidate], [required_mask], config.max_parents, cache
+    )[1]
 
 
 def select_winner(
@@ -169,44 +169,22 @@ def select_winner(
 ) -> tuple[int, NodeSet]:
     """Pick the next node to add and its parent set.
 
-    A unique top-priority candidate wins outright and only then is its
-    stratum searched. Tied candidates are searched in lockstep: every tied
-    candidate at subset size k before any candidate at k+1, so the winner is
-    the one with the smallest stratum, ascending node index breaking ties.
+    The top-priority candidates are searched in lockstep: every one at
+    subset size k before any at k+1, so the winner is the one with the
+    smallest stratum, ascending node index breaking ties. A unique
+    top-priority candidate is a race of one.
 
     Raises StratumNotFoundError when max_parents exhausts every tied
     candidate; the reported candidate is the first by index.
     """
     config = config or BuildConfig()
-    existing = frozenset(existing)
+    existing_mask = mask_of(existing)
     maximal = sorted(info.maximal_candidates(candidates))
-
-    def required_for(c: int) -> NodeSet:
-        if not config.trust_expert:
-            return EMPTY_SET
-        return info.declared_causes(c) & existing
-
-    if len(maximal) == 1:
-        winner = maximal[0]
-        stratum = boundary_stratum(
-            model, existing, winner,
-            cache=cache, config=config, required=required_for(winner),
-        )
-        return winner, stratum
-
-    required = {c: required_for(c) for c in maximal}
-    pools = {c: sorted(existing - required[c]) for c in maximal}
-    limit = len(existing) if config.max_parents is None else min(
-        config.max_parents, len(existing)
-    )
-    for size in range(limit + 1):
-        for c in maximal:
-            found = _stratum_at_size(
-                model, c, existing, size, required[c], pools[c], cache
-            )
-            if found is not None:
-                return c, found
-    raise StratumNotFoundError(maximal[0], config.max_parents)
+    if config.trust_expert:
+        required = [mask_of(info.declared_causes(c)) & existing_mask for c in maximal]
+    else:
+        required = [0] * len(maximal)
+    return _search(model, existing_mask, maximal, required, config.max_parents, cache)
 
 
 def build(
@@ -228,17 +206,15 @@ def build(
         info = ExpertInfo.empty(universe)
     if info.info_dag.names() != universe:
         raise ValueError("expert info was compiled over a different universe")
-    model_universe = getattr(model, "universe", None)
-    if model_universe is not None and list(model_universe) != universe:
-        raise ValueError("model universe does not match the requested universe")
+    _check_model_universe(model, universe)
 
     counting = _CountingModel(model)
-    cache: FailureCache | None = set() if config.use_cache else None
+    cache: FailureCache | None = {} if config.use_cache else None
     network = Dag(universe)
     warnings: list[DeviationWarning] = []
     conflicts_before = len(getattr(model, "overlay_conflicts", ()))
 
-    existing: NodeSet = EMPTY_SET
+    existing: NodeSet = frozenset()
     remaining = set(range(len(universe)))
     node_order: list[int] = []
     strata: dict[int, NodeSet] = {}
@@ -276,6 +252,8 @@ def build(
         strata[winner] = stratum
         existing |= {winner}
         remaining.remove(winner)
+        if cache is not None:
+            cache.pop(winner, None)
 
     new_conflicts = list(getattr(model, "overlay_conflicts", ()))[conflicts_before:]
     for xs, zs, ys in dict.fromkeys(new_conflicts):
@@ -309,17 +287,16 @@ def is_imap(network: Dag, model: IndependenceModel) -> bool:
     Checked exhaustively over singleton x/y pairs and all conditioning sets,
     so only sensible for small universes.
     """
-    n = network.node_count
-    for xi in range(n):
-        xset = frozenset((xi,))
-        for yi in range(xi + 1, n):
-            yset = frozenset((yi,))
-            others = [v for v in range(n) if v != xi and v != yi]
+    _check_model_universe(model, network.names())
+    query = model.is_independent_mask
+    nodes = [1 << v for v in range(network.node_count)]
+    for i, x in enumerate(nodes):
+        for y in nodes[i + 1 :]:
+            others = [v for v in nodes if v != x and v != y]
             for r in range(len(others) + 1):
-                for zs in itertools.combinations(others, r):
-                    if d_separated_checked(network, xset, frozenset(zs), yset):
-                        if not model.is_independent(xset, zs, yset):
-                            return False
+                for z in map(sum, itertools.combinations(others, r)):
+                    if d_separated_checked(network, x, z, y) and not query(x, z, y):
+                        return False
     return True
 
 
@@ -343,3 +320,9 @@ def _without_arc(dag: Dag, parent: int, child: int) -> Dag:
 
 def _names(universe: Sequence[str], indices: Iterable[int]) -> str:
     return "{" + ", ".join(universe[v] for v in sorted(indices)) + "}"
+
+
+def _check_model_universe(model: IndependenceModel, universe: list[str]) -> None:
+    model_universe = getattr(model, "universe", None)
+    if model_universe is not None and list(model_universe) != universe:
+        raise ValueError("model universe does not match the requested universe")

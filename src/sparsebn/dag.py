@@ -2,18 +2,38 @@
 
 Nodes are dense integer indices assigned in registration order, with a
 one-to-one name mapping. Every iteration and tie-break in this package is
-by ascending index, so builds are reproducible byte for byte.
+by ascending index, so builds are reproducible byte for byte. Adjacency is
+held as bitmasks, bit u standing for node u, the form d-separation uses.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 NodeSet = frozenset[int]
 
-EMPTY_SET: NodeSet = frozenset()
+
+def mask_of(nodes: Iterable[int]) -> int:
+    """Bitmask form of a node set: bit v is set iff node v is a member."""
+    mask = 0
+    for v in nodes:
+        mask |= 1 << v
+    return mask
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The node indices in a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def nodes_of(mask: int) -> NodeSet:
+    """Node-set form of a bitmask."""
+    return frozenset(bits(mask))
 
 
 class DuplicateNodeError(ValueError):
@@ -42,9 +62,8 @@ class Dag:
     __slots__ = (
         "_names",
         "_index",
-        "_parents",
-        "_children",
-        "_index_set",
+        "_parent_masks",
+        "_child_masks",
         "_mutations",
         "_closures",
     )
@@ -52,11 +71,10 @@ class Dag:
     def __init__(self, names: Iterable[str] = ()):
         self._names: list[str] = []
         self._index: dict[str, int] = {}
-        self._parents: list[set[int]] = []
-        self._children: list[set[int]] = []
-        self._index_set: set[int] = set()
+        self._parent_masks: list[int] = []
+        self._child_masks: list[int] = []
         self._mutations = 0
-        self._closures: tuple[int, list[frozenset[int]]] | None = None
+        self._closures: tuple[int, list[int]] | None = None
         for name in names:
             self.add_node(name)
 
@@ -66,7 +84,7 @@ class Dag:
 
     @property
     def arc_count(self) -> int:
-        return sum(len(ch) for ch in self._children)
+        return sum(mask.bit_count() for mask in self._child_masks)
 
     def add_node(self, name: str) -> int:
         """Register a node and return its index (dense, registration order)."""
@@ -77,9 +95,8 @@ class Dag:
         index = len(self._names)
         self._names.append(name)
         self._index[name] = index
-        self._parents.append(set())
-        self._children.append(set())
-        self._index_set.add(index)
+        self._parent_masks.append(0)
+        self._child_masks.append(0)
         self._mutations += 1
         return index
 
@@ -91,12 +108,12 @@ class Dag:
         """
         self._check_index(parent)
         self._check_index(child)
-        if child in self._children[parent]:
+        if self._child_masks[parent] >> child & 1:
             return
         if parent == child:
             name = self._names[parent]
             raise CycleError(f"self-loop on {name}", [name, name])
-        if self._reachable(child, parent):
+        if self._closure(child, self._child_masks) >> parent & 1:
             path = self._directed_path(child, parent)
             cycle = [self._names[parent]] + [self._names[v] for v in path]
             raise CycleError(
@@ -105,8 +122,8 @@ class Dag:
                 ),
                 cycle,
             )
-        self._children[parent].add(child)
-        self._parents[child].add(parent)
+        self._child_masks[parent] |= 1 << child
+        self._parent_masks[child] |= 1 << parent
         self._mutations += 1
 
     def has_node(self, name: str) -> bool:
@@ -115,7 +132,7 @@ class Dag:
     def has_arc(self, parent: int, child: int) -> bool:
         self._check_index(parent)
         self._check_index(child)
-        return child in self._children[parent]
+        return bool(self._child_masks[parent] >> child & 1)
 
     def name_of(self, v: int) -> str:
         self._check_index(v)
@@ -133,46 +150,46 @@ class Dag:
 
     def parents(self, v: int) -> NodeSet:
         self._check_index(v)
-        return frozenset(self._parents[v])
+        return nodes_of(self._parent_masks[v])
 
     def children(self, v: int) -> NodeSet:
         self._check_index(v)
-        return frozenset(self._children[v])
+        return nodes_of(self._child_masks[v])
 
     def roots(self) -> list[int]:
-        return [v for v in range(len(self._names)) if not self._parents[v]]
+        return [v for v, mask in enumerate(self._parent_masks) if not mask]
 
     def leaves(self) -> list[int]:
-        return [v for v in range(len(self._names)) if not self._children[v]]
+        return [v for v, mask in enumerate(self._child_masks) if not mask]
 
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs as (parent, child) pairs, sorted ascending."""
-        out = []
-        for parent in range(len(self._names)):
-            for child in sorted(self._children[parent]):
-                out.append((parent, child))
-        return out
+        return [
+            (parent, child)
+            for parent, mask in enumerate(self._child_masks)
+            for child in bits(mask)
+        ]
 
     def ancestors(self, v: int) -> NodeSet:
         """All nodes with a directed path to v, excluding v itself."""
         self._check_index(v)
-        return frozenset(self._closure(v, self._parents))
+        return nodes_of(self._closure(v, self._parent_masks))
 
     def descendants(self, v: int) -> NodeSet:
         """All nodes reachable from v, excluding v itself."""
         self._check_index(v)
-        return frozenset(self._closure(v, self._children))
+        return nodes_of(self._closure(v, self._child_masks))
 
     def topological_order(self) -> list[int]:
         """Parents before children; ties broken by ascending index."""
-        indegree = [len(self._parents[v]) for v in range(len(self._names))]
-        heap = [v for v in range(len(self._names)) if indegree[v] == 0]
+        indegree = [mask.bit_count() for mask in self._parent_masks]
+        heap = [v for v, degree in enumerate(indegree) if degree == 0]
         heapq.heapify(heap)
         order = []
         while heap:
             v = heapq.heappop(heap)
             order.append(v)
-            for child in self._children[v]:
+            for child in bits(self._child_masks[v]):
                 indegree[child] -= 1
                 if indegree[child] == 0:
                     heapq.heappush(heap, child)
@@ -180,17 +197,17 @@ class Dag:
         assert len(order) == len(self._names)
         return order
 
-    def ancestor_closures(self) -> list[frozenset[int]]:
-        """Per node: the node plus all its ancestors. Cached between mutations."""
+    def ancestor_closures(self) -> list[int]:
+        """Per node: the mask of the node and its ancestors; cached per mutation."""
         cached = self._closures
         if cached is not None and cached[0] == self._mutations:
             return cached[1]
-        closures: list[frozenset[int]] = [frozenset()] * len(self._names)
+        closures = [0] * len(self._names)
         for v in self.topological_order():
-            closure = {v}
-            for p in self._parents[v]:
+            closure = 1 << v
+            for p in bits(self._parent_masks[v]):
                 closure |= closures[p]  # parents precede v in the order
-            closures[v] = frozenset(closure)
+            closures[v] = closure
         self._closures = (self._mutations, closures)
         return closures
 
@@ -198,16 +215,15 @@ class Dag:
         out = Dag()
         out._names = list(self._names)
         out._index = dict(self._index)
-        out._parents = [set(s) for s in self._parents]
-        out._children = [set(s) for s in self._children]
-        out._index_set = set(self._index_set)
+        out._parent_masks = list(self._parent_masks)
+        out._child_masks = list(self._child_masks)
         out._mutations = self._mutations
         return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dag):
             return NotImplemented
-        return self._names == other._names and self._children == other._children
+        return self._names == other._names and self._child_masks == other._child_masks
 
     __hash__ = None  # mutable
 
@@ -218,18 +234,16 @@ class Dag:
         if not isinstance(v, int) or not 0 <= v < len(self._names):
             raise UnknownNodeError(f"unknown node index {v!r}")
 
-    def _closure(self, start: int, adjacency: list[set[int]]) -> set[int]:
-        seen: set[int] = set()
-        stack = list(adjacency[start])
-        while stack:
-            v = stack.pop()
-            if v not in seen:
-                seen.add(v)
-                stack.extend(adjacency[v] - seen)
+    def _closure(self, start: int, adjacency: list[int]) -> int:
+        seen = 0
+        frontier = adjacency[start]
+        while frontier:
+            seen |= frontier
+            reached = 0
+            for v in bits(frontier):
+                reached |= adjacency[v]
+            frontier = reached & ~seen
         return seen
-
-    def _reachable(self, src: int, dst: int) -> bool:
-        return dst in self._closure(src, self._children)
 
     def _directed_path(self, src: int, dst: int) -> list[int]:
         # BFS for a shortest src -> dst path; callers guarantee one exists
@@ -239,7 +253,7 @@ class Dag:
             u = queue.popleft()
             if u == dst:
                 break
-            for child in sorted(self._children[u]):
+            for child in bits(self._child_masks[u]):
                 if child not in prev:
                     prev[child] = u
                     queue.append(child)

@@ -6,6 +6,8 @@ conditioning set under ancestors and then runs a reachability pass over
 ``d_separated_bruteforce`` enumerates every simple adjacency path between the
 query sets and applies the blocking rules to each path directly; it is only
 practical on small graphs and exists as an independent cross-check.
+``d_separated`` validates, converts the query to bitmasks (bit v for node v)
+once and runs ``d_separated_checked``, the unchecked form hot paths call.
 
 Blocking rules for a path given conditioning set Z: a node where the path's
 arrows converge transmits only if it is in Z or has a descendant in Z; every
@@ -14,13 +16,9 @@ other node on the path transmits only if it is outside Z.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 
-from .dag import Dag, NodeSet, UnknownNodeError
-
-_UP = 0  # entered against an arc (from a child), or a search start
-_DOWN = 1  # entered along an arc (from a parent)
+from .dag import Dag, NodeSet, UnknownNodeError, bits, mask_of
 
 
 class InvalidQueryError(ValueError):
@@ -36,9 +34,9 @@ def check_query(
     index registered in ``dag``. z may be empty.
     """
     xs, zs, ys = frozenset(x), frozenset(z), frozenset(y)
-    registered = dag._index_set
-    if not (xs <= registered and zs <= registered and ys <= registered):
-        unknown = (xs | zs | ys) - registered
+    n = dag.node_count
+    unknown = [v for v in xs | zs | ys if not (isinstance(v, int) and 0 <= v < n)]
+    if unknown:
         raise UnknownNodeError(
             "unknown node index(es): " + ", ".join(sorted(map(repr, unknown)))
         )
@@ -52,54 +50,57 @@ def check_query(
 def d_separated(dag: Dag, x: Iterable[int], z: Iterable[int], y: Iterable[int]) -> bool:
     """True iff every adjacency path between x and y is blocked by z."""
     xs, zs, ys = check_query(dag, x, z, y)
-    return d_separated_checked(dag, xs, zs, ys)
+    return d_separated_checked(dag, mask_of(xs), mask_of(zs), mask_of(ys))
 
 
-def d_separated_checked(dag: Dag, xs: NodeSet, zs: NodeSet, ys: NodeSet) -> bool:
-    """``d_separated`` minus validation; callers guarantee a well-formed query."""
-    parents = dag._parents
-    children = dag._children
+def d_separated_checked(dag: Dag, x: int, z: int, y: int) -> bool:
+    """``d_separated`` over bitmasks, for queries ``check_query`` would accept."""
+    parents = dag._parent_masks
+    children = dag._child_masks
 
     # a direct arc between the sets is a path with no interior nodes, so no
-    # conditioning set can block it
-    for v in xs:
-        if not ys.isdisjoint(parents[v]) or not ys.isdisjoint(children[v]):
+    # conditioning set can block it; most search queries end here, before the
+    # closure below (or even a ``bits`` generator) is paid for
+    rest = x
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        if (parents[v] | children[v]) & y:
             return False
+        rest ^= low
 
     # z plus everything with a descendant in z: exactly the nodes at which a
     # converging-arrows path node may transmit
-    if zs:
+    z_closure = 0
+    if z:
         closures = dag.ancestor_closures()
-        z_closure = frozenset().union(*[closures[v] for v in zs])
-    else:
-        z_closure = zs
+        for v in bits(z):
+            z_closure |= closures[v]
 
-    # states encode (node, direction) as 2 * node + direction
-    seen = bytearray(2 * len(parents))
-    queue = deque(2 * v + _UP for v in xs)
-    push = queue.append
-    while queue:
-        state = queue.popleft()
-        if seen[state]:
-            continue
-        seen[state] = 1
-        v = state >> 1
-        if v in ys:
+    # breadth-first over (node, direction) states: ``up`` frontier entered
+    # from a child (or a search start), ``down`` frontier entered from a parent
+    up, down = x, 0
+    seen_up = seen_down = 0
+    while up or down:
+        if (up | down) & y:
             return False
-        if state & 1 == _UP:
-            if v not in zs:
-                for p in parents[v]:
-                    push(2 * p + _UP)
-                for c in children[v]:
-                    push(2 * c + _DOWN)
-        else:
-            if v not in zs:
-                for c in children[v]:
-                    push(2 * c + _DOWN)
-            if v in z_closure:
+        seen_up |= up
+        seen_down |= down
+        next_up = next_down = 0
+        rest = up | down
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            if not low & z:
+                next_down |= children[v]
+                if low & up:
+                    next_up |= parents[v]
+            if low & down & z_closure:
                 # converging arrows at v are unblocked, bounce to parents
-                for p in parents[v]:
-                    push(2 * p + _UP)
+                next_up |= parents[v]
+        up = next_up & ~seen_up
+        down = next_down & ~seen_down
     return True
 
 
@@ -108,13 +109,13 @@ def d_separated_bruteforce(
 ) -> bool:
     """Literal path-enumeration form of ``d_separated``; small graphs only."""
     xs, zs, ys = check_query(dag, x, z, y)
-    n = dag.node_count
-    neighbors = [sorted(dag._parents[v] | dag._children[v]) for v in range(n)]
+    parents = [dag.parents(v) for v in range(dag.node_count)]
+    neighbors = [sorted(ps | dag.children(v)) for v, ps in enumerate(parents)]
 
     def path_active(path: list[int]) -> bool:
         for i in range(1, len(path) - 1):
             v = path[i]
-            converging = path[i - 1] in dag._parents[v] and path[i + 1] in dag._parents[v]
+            converging = path[i - 1] in parents[v] and path[i + 1] in parents[v]
             if converging:
                 if v not in zs and zs.isdisjoint(dag.descendants(v)):
                     return False

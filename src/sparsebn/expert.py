@@ -117,7 +117,6 @@ class ExpertInfo:
         self.hypothesis_set = frozenset(hypothesis_set)
         self.evidence_set = frozenset(evidence_set)
         self.declared_independencies = list(declared_independencies)
-        self._ancestor_cache: dict[int, NodeSet] = {}
 
     @classmethod
     def empty(cls, universe: Iterable[str]) -> ExpertInfo:
@@ -140,9 +139,10 @@ class ExpertInfo:
             return Priority.HIGHER if a in hyp else Priority.LOWER
         if (a in evid) != (b in evid):
             return Priority.LOWER if a in evid else Priority.HIGHER
-        if a in self._ancestors(b):
+        closures = self.info_dag.ancestor_closures()
+        if closures[b] >> a & 1:
             return Priority.HIGHER
-        if b in self._ancestors(a):
+        if closures[a] >> b & 1:
             return Priority.LOWER
         return Priority.SAME
 
@@ -159,13 +159,6 @@ class ExpertInfo:
             )
         ]
         return frozenset(out)
-
-    def _ancestors(self, v: int) -> NodeSet:
-        anc = self._ancestor_cache.get(v)
-        if anc is None:
-            anc = self.info_dag.ancestors(v)
-            self._ancestor_cache[v] = anc
-        return anc
 
 
 def parse_statements(text: str, source: str = "<expert>") -> list[ExpertStatement]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from sparsebn import Dag
+from sparsebn.cli import model_text
 
 
 def make_dag(names, arcs=()):
@@ -17,6 +18,17 @@ def make_dag(names, arcs=()):
 
 def arc_names(dag):
     return {(dag.name_of(p), dag.name_of(c)) for p, c in dag.arcs()}
+
+
+def result_bytes(result):
+    """A build result's network, warnings, order and strata as bytes."""
+    parts = [
+        model_text(result.network),
+        repr([(w.kind.value, w.node, w.detail) for w in result.warnings]),
+        repr(result.node_order),
+        repr(sorted((node, tuple(sorted(s))) for node, s in result.strata.items())),
+    ]
+    return "\n".join(parts).encode()
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from sparsebn import (
 )
 from sparsebn.cli import main, model_text
 
-from conftest import arc_names, make_dag
+from conftest import arc_names, make_dag, result_bytes
 
 
 @contextmanager
@@ -70,16 +70,6 @@ def _property_cases(count=200, seed=4242):
             keep = rng.random()
             statements = [s for s in full_expert_info(ground_truth) if rng.random() < keep]
         yield case, ground_truth, statements
-
-
-def _result_bytes(result):
-    parts = [
-        model_text(result.network),
-        repr([(w.kind.value, w.node, w.detail) for w in result.warnings]),
-        repr(result.node_order),
-        repr(sorted((node, tuple(sorted(s))) for node, s in result.strata.items())),
-    ]
-    return "\n".join(parts).encode()
 
 
 def test_criterion_1_fig1_reproduction():
@@ -170,7 +160,7 @@ def test_criterion_6_cache_soundness():
             )
             # identical networks, warnings, order, and strata, byte for byte;
             # the oracle-call count is the one field allowed to differ
-            assert _result_bytes(cached) == _result_bytes(uncached), case
+            assert result_bytes(cached) == result_bytes(uncached), case
             assert cached.oracle_calls <= uncached.oracle_calls, case
             strict_saving |= cached.oracle_calls < uncached.oracle_calls
         assert strict_saving

@@ -10,12 +10,14 @@ from sparsebn import (
     Evidence,
     ExpertInfo,
     Hypothesis,
+    IndependenceModel,
     RandomDagSpec,
     StratumNotFoundError,
     WarningKind,
     boundary_stratum,
     build,
     compile_statements,
+    d_separated,
     d_separated_bruteforce,
     full_expert_info,
     is_imap,
@@ -24,14 +26,17 @@ from sparsebn import (
     select_winner,
 )
 
-from conftest import arc_names, make_dag
+from conftest import arc_names, make_dag, result_bytes
 
 
 def _build(ground_truth, statements=(), declared=(), **config_kwargs):
     oracle = DsepOracle(ground_truth, declared=declared)
     info = compile_statements(list(statements), ground_truth.names())
     config = BuildConfig(**config_kwargs) if config_kwargs else None
-    return build(oracle, ground_truth.names(), info, config)
+    result = build(oracle, ground_truth.names(), info, config)
+    # the build's own counter and the oracle's must agree
+    assert oracle.call_count == result.oracle_calls
+    return result
 
 
 def _check_result_invariants(result):
@@ -78,7 +83,7 @@ def test_stratum_candidate_in_existing_rejected(fig_common_cause):
 
 def test_stratum_skips_cached_failures(fig_common_cause):
     oracle = DsepOracle(fig_common_cause)
-    cache = {(0, frozenset())}  # pretend size-0 already failed for candidate 0
+    cache = {0: {0}}  # pretend the empty subset already failed for candidate 0
     boundary_stratum(oracle, [1, 2], 0, cache=cache)
     # only the two singleton subsets were queried; size 2 is call-free
     assert oracle.call_count == 2
@@ -285,6 +290,34 @@ def test_cache_soundness_module_scale():
     assert saw_strict_saving
 
 
+class _SetQueryOracle(IndependenceModel):
+    """Implements only ``is_independent``: builds reach it through the
+    default ``is_independent_mask`` adapter."""
+
+    def __init__(self, ground_truth):
+        self.ground_truth = ground_truth
+        self.calls = 0
+
+    def is_independent(self, x, z, y):
+        self.calls += 1
+        return d_separated(self.ground_truth, x, z, y)
+
+
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_default_mask_adapter_builds_like_dsep_oracle(use_cache):
+    config = BuildConfig(use_cache=use_cache)
+    for n, seed in ((8, 31), (9, 32), (10, 33)):
+        gt = random_dag(RandomDagSpec(n, n + 4, seed=seed))
+        full = full_expert_info(gt)
+        for statements in ([], full[: len(full) // 2], full):
+            info = compile_statements(statements, gt.names())
+            expected = build(DsepOracle(gt), gt.names(), info, config)
+            oracle = _SetQueryOracle(gt)
+            adapted = build(oracle, gt.names(), info, config)
+            assert result_bytes(adapted) == result_bytes(expected), (n, len(statements))
+            assert adapted.oracle_calls == expected.oracle_calls == oracle.calls
+
+
 def test_minimal_imap_property_module_scale():
     rng = random.Random(4242)
     for case in range(30):
@@ -324,6 +357,12 @@ def test_spurious_arc_fails_minimality(fig_common_cause):
     # deleting the spurious sensor-to-sensor arc leaves an I-map
     assert is_imap(padded, oracle)
     assert not is_minimal_imap(padded, oracle)
+
+
+def test_imap_check_rejects_network_over_other_universe(fig_common_cause):
+    wider = make_dag("T T1 T2 T3", [("T", "T3")])
+    with pytest.raises(ValueError):
+        is_imap(wider, DsepOracle(fig_common_cause))
 
 
 def test_single_node_network_is_minimal():

@@ -262,8 +262,17 @@ def test_single_node_model_builds(tmp_path, capsys):
 
 def test_reports_identical_across_hash_seeds(tmp_path):
     # everything observable must be independent of set/dict iteration order
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import sparsebn
+
+    # the children import the same sparsebn as this process, wherever it lives
+    import_root = str(Path(sparsebn.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    pythonpath = import_root + (os.pathsep + inherited if inherited else "")
 
     model = _write(
         tmp_path,
@@ -281,7 +290,11 @@ def test_reports_identical_across_hash_seeds(tmp_path):
             [sys.executable, "-m", "sparsebn.cli", "build", model, expert, str(out)],
             capture_output=True,
             text=True,
-            env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+            env={
+                "PYTHONHASHSEED": hash_seed,
+                "PATH": "/usr/bin:/bin",
+                "PYTHONPATH": pythonpath,
+            },
         )
         assert build_proc.returncode == 0, build_proc.stderr
         exp_proc = subprocess.run(
@@ -291,7 +304,11 @@ def test_reports_identical_across_hash_seeds(tmp_path):
             ],
             capture_output=True,
             text=True,
-            env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+            env={
+                "PYTHONHASHSEED": hash_seed,
+                "PATH": "/usr/bin:/bin",
+                "PYTHONPATH": pythonpath,
+            },
         )
         assert exp_proc.returncode == 0, exp_proc.stderr
         csv_rows = [

@@ -126,7 +126,7 @@ def sensitivity_experiment(
     (elapsed_ms is informational and excluded from equality).
 
     ``verify_imaps`` re-checks every rebuilt network against the oracle with
-    the exhaustive I-map test; only sensible for small ground truths.
+    ``is_imap``.
     """
     if deletions_per_step < 1:
         raise ValueError("deletions_per_step must be >= 1")

@@ -65,6 +65,11 @@ class DsepOracle(IndependenceModel):
     def ground_truth(self) -> Dag:
         return self._dag
 
+    @property
+    def has_overlay(self) -> bool:
+        """Whether triples were declared; the I-map checks then refuse it."""
+        return bool(self._declared)
+
     def declare_independent(
         self, x: Iterable[int], z: Iterable[int], y: Iterable[int]
     ) -> None:

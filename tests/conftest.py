@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from sparsebn import Dag
 from sparsebn.cli import model_text
+from sparsebn.dsep import d_separated_checked
 
 
 def make_dag(names, arcs=()):
@@ -29,6 +32,50 @@ def result_bytes(result):
         repr(sorted((node, tuple(sorted(s))) for node, s in result.strata.items())),
     ]
     return "\n".join(parts).encode()
+
+
+def with_forward_arc(dag):
+    """A copy of ``dag`` plus its first missing arc along a topological order."""
+    order = dag.topological_order()
+    padded = dag.copy()
+    padded.add_arc(
+        *next(
+            (u, v)
+            for i, u in enumerate(order)
+            for v in order[i + 1 :]
+            if not dag.has_arc(u, v)
+        )
+    )
+    return padded
+
+
+def exhaustive_is_imap(network, model):
+    """Reference I-map check: every singleton d-separation of the network,
+    under every conditioning set, must hold in the model."""
+    query = model.is_independent_mask
+    nodes = [1 << v for v in range(network.node_count)]
+    for i, x in enumerate(nodes):
+        for y in nodes[i + 1 :]:
+            others = [v for v in nodes if v != x and v != y]
+            for r in range(len(others) + 1):
+                for z in map(sum, itertools.combinations(others, r)):
+                    if d_separated_checked(network, x, z, y) and not query(x, z, y):
+                        return False
+    return True
+
+
+def exhaustive_is_minimal_imap(network, model):
+    """Reference minimality check: an I-map that no single arc deletion keeps one."""
+    if not exhaustive_is_imap(network, model):
+        return False
+    for dropped in network.arcs():
+        thinned = Dag(network.names())
+        for arc in network.arcs():
+            if arc != dropped:
+                thinned.add_arc(*arc)
+        if exhaustive_is_imap(thinned, model):
+            return False
+    return True
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from sparsebn import (
 )
 from sparsebn.cli import main, model_text
 
-from conftest import arc_names, make_dag, result_bytes
+from conftest import arc_names, make_dag, result_bytes, with_forward_arc
 
 
 @contextmanager
@@ -96,6 +96,13 @@ def test_criterion_2_full_information_recovery_at_paper_scale():
             ground_truth = random_dag(spec)
             result = _built(ground_truth, full_expert_info(ground_truth))
             assert set(result.network.arcs()) == set(ground_truth.arcs()), spec
+            oracle = DsepOracle(ground_truth)
+            assert is_minimal_imap(result.network, oracle), spec
+
+            # one spurious forward arc keeps an I-map but breaks minimality
+            padded = with_forward_arc(ground_truth)
+            assert is_imap(padded, oracle), spec
+            assert not is_minimal_imap(padded, oracle), spec
         assert time.perf_counter() - started < 10.0
 
 

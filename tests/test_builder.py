@@ -1,11 +1,14 @@
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
 from sparsebn import (
     BuildConfig,
     CauseOf,
+    Dag,
     DsepOracle,
     Evidence,
     ExpertInfo,
@@ -26,7 +29,13 @@ from sparsebn import (
     select_winner,
 )
 
-from conftest import arc_names, make_dag, result_bytes
+from conftest import (
+    arc_names,
+    exhaustive_is_imap,
+    exhaustive_is_minimal_imap,
+    make_dag,
+    result_bytes,
+)
 
 
 def _build(ground_truth, statements=(), declared=(), **config_kwargs):
@@ -365,6 +374,68 @@ def test_imap_check_rejects_network_over_other_universe(fig_common_cause):
         is_imap(wider, DsepOracle(fig_common_cause))
 
 
+def test_imap_checks_refuse_oracle_with_declared_triples(fig_common_cause):
+    # the overlay answers independent where the graph may not: no semi-graphoid
+    declared = [(frozenset([1]), frozenset([0]), frozenset([2]))]
+    oracle = DsepOracle(fig_common_cause, declared=declared)
+    for check in (is_imap, is_minimal_imap):
+        with pytest.raises(ValueError, match="semi-graphoid"):
+            check(fig_common_cause, oracle)
+    assert oracle.call_count == 0
+
+
 def test_single_node_network_is_minimal():
     single = make_dag("X")
     assert is_minimal_imap(single, DsepOracle(single))
+
+
+def _verification_cases(count=1200, seed=2024):
+    """(case, candidate, ground truth) over 2-7 nodes. Candidates cycle through
+    random DAGs, built networks (minimal I-maps), built networks with one arc
+    dropped (no I-maps) and with one forward arc added (I-maps, not minimal)."""
+    rng = random.Random(seed)
+    for case in range(count):
+        n = rng.randint(2, 7)
+        most = n * (n - 1) // 2
+        arcs = rng.randint(0, min(2 * n - 2, most))
+        gt = random_dag(RandomDagSpec(n, arcs, seed=rng.randrange(2**32)))
+        kind = case % 4
+        if kind == 0:
+            spec = RandomDagSpec(n, rng.randint(0, most), seed=rng.randrange(2**32))
+            yield case, random_dag(spec), gt
+            continue
+        result = _build(gt, [s for s in full_expert_info(gt) if rng.random() < 0.5])
+        candidate = result.network
+        if kind == 2 and candidate.arc_count:
+            dropped = rng.choice(candidate.arcs())
+            kept = [arc for arc in candidate.arcs() if arc != dropped]
+            candidate = Dag(gt.names())
+            for arc in kept:
+                candidate.add_arc(*arc)
+        elif kind == 3:
+            order = result.node_order
+            forward = [
+                (u, v)
+                for i, u in enumerate(order)
+                for v in order[i + 1 :]
+                if not candidate.has_arc(u, v)
+            ]
+            if forward:
+                candidate.add_arc(*rng.choice(forward))
+        yield case, candidate, gt
+
+
+def test_ordered_markov_checks_match_exhaustive_reference():
+    started = time.perf_counter()
+    verdicts = Counter()
+    for case, candidate, gt in _verification_cases():
+        oracle = DsepOracle(gt)
+        expected = (
+            exhaustive_is_imap(candidate, oracle),
+            exhaustive_is_minimal_imap(candidate, oracle),
+        )
+        got = (is_imap(candidate, oracle), is_minimal_imap(candidate, oracle))
+        assert got == expected, (case, candidate.arcs(), gt.arcs())
+        verdicts[expected] += 1
+    assert set(verdicts) == {(False, False), (True, False), (True, True)}, verdicts
+    assert time.perf_counter() - started < 10.0

@@ -1,8 +1,9 @@
 import pytest
 
+from sparsebn import RandomDagSpec, random_dag
 from sparsebn.cli import main, model_text, parse_model_text
 
-from conftest import arc_names, make_dag
+from conftest import arc_names, make_dag, with_forward_arc
 
 COMMON_CAUSE_MODEL = """\
 # process temperature with two sensors
@@ -195,13 +196,18 @@ def test_verify_node_set_mismatch_exits_2(tmp_path, model_path, capsys):
     assert main(["verify", model_path, candidate]) == 2
 
 
-def test_verify_too_large_exits_3(tmp_path, capsys):
-    names = [f"n{i}" for i in range(12)]
-    text = "".join(f"node {n}\n" for n in names)
-    model = _write(tmp_path, "big.txt", text)
-    candidate = _write(tmp_path, "cand.txt", text)
-    assert main(["verify", model, candidate]) == 3
-    assert "too large" in capsys.readouterr().err
+def test_verify_at_paper_scale(tmp_path, capsys):
+    truth = random_dag(RandomDagSpec(26, 36, seed=9000))
+    model = _write(tmp_path, "model.txt", model_text(truth))
+    assert main(["verify", model, model]) == 0
+    assert "minimal I-map: yes" in capsys.readouterr().out
+
+    # one spurious arc along a topological order keeps an I-map, not a minimal one
+    candidate = _write(tmp_path, "padded.txt", model_text(with_forward_arc(truth)))
+    assert main(["verify", model, candidate]) == 1
+    out = capsys.readouterr().out
+    assert "I-map: yes" in out
+    assert "minimal I-map: no" in out
 
 
 def test_verify_aligns_candidate_declared_in_different_order(tmp_path, model_path):

@@ -120,10 +120,16 @@ def test_experiment_replay_determinism():
 
 def test_experiment_networks_are_imaps_at_desk_scale():
     gt = random_dag(RandomDagSpec(6, 7, seed=6))
-    # verify_imaps raises if any rebuilt network fails the exhaustive check
+    # verify_imaps raises if any rebuilt network fails the I-map check
     records = sensitivity_experiment(gt, trials=2, seed=3, verify_imaps=True)
     assert len(records) == 2 * 8
     assert all(r.oracle_calls > 0 for r in records)
+
+
+def test_experiment_networks_are_imaps_at_paper_scale():
+    gt = random_dag(RandomDagSpec(26, 36, seed=7))  # criterion 3's ground truth
+    records = sensitivity_experiment(gt, trials=2, seed=11, verify_imaps=True)
+    assert len(records) == 2 * 37
 
 
 def test_experiment_validates_arguments(fig_common_cause):

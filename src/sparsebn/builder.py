@@ -11,6 +11,10 @@ screen a candidate off can never succeed later against a grown network (the
 failed dependence persists under supersets of the remainder), so failures are
 cached per candidate, as subset masks, and skipped without querying. A placed
 node is never a candidate again, so its cache entry is dropped on placement.
+
+Every query of a build passes one gate, its only call counter. The gate
+answers the expert's declared independencies True, whatever the model is,
+and asks the model about a declared triple only to report a contradiction.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .dag import Dag, NodeSet, bits, mask_of, nodes_of
+from .dsep import check_query
 # not called here; perfbench's tracer patches this module global by name
 from .dsep import d_separated_checked
 from .expert import ExpertInfo
@@ -83,17 +88,24 @@ class BuildResult:
         return not self._relaxed
 
 
-class _CountingModel:
-    """Counts the oracle calls one build makes, whatever the model is."""
+class _Gate:
+    """Counts a build's queries; declared triples (as (z, x, y) masks, in both
+    x/y orientations) answer True, and those the model denies are recorded."""
 
-    __slots__ = ("query", "calls")
+    __slots__ = ("query", "declared", "conflicts", "calls")
 
-    def __init__(self, base: IndependenceModel):
-        self.query = base.is_independent_mask
+    def __init__(self, model: IndependenceModel, declared: set[tuple[int, int, int]]):
+        self.query = model.is_independent_mask
+        self.declared = declared
+        self.conflicts: dict[tuple[int, int, int], None] = {}  # first-hit order
         self.calls = 0
 
     def is_independent_mask(self, x: int, z: int, y: int) -> bool:
         self.calls += 1
+        if self.declared and (z, x, y) in self.declared:
+            if not self.query(x, z, y):
+                self.conflicts.setdefault((x, z, y))
+            return True
         return self.query(x, z, y)
 
 
@@ -202,8 +214,10 @@ def build(
 
     Minimality holds when max_parents is unset and trust_expert is off;
     otherwise the result may carry extra parents and says so via
-    ``minimality_guaranteed``. Deviations between the expert's statements and
-    what the oracle supports are reported as warnings, never as failures.
+    ``minimality_guaranteed``. The expert's declared independencies answer
+    True for any model; a malformed one raises InvalidQueryError. Deviations
+    between the expert's statements and what the oracle supports are reported
+    as warnings, never as failures.
     """
     config = config or BuildConfig()
     universe = list(universe)
@@ -212,12 +226,15 @@ def build(
     if info.info_dag.names() != universe:
         raise ValueError("expert info was compiled over a different universe")
     _check_model_universe(model, universe)
+    declared: set[tuple[int, int, int]] = set()
+    for triple in info.declared_independencies:
+        x, z, y = map(mask_of, check_query(info.info_dag, *triple))
+        declared |= {(z, x, y), (z, y, x)}
 
-    counting = _CountingModel(model)
+    gate = _Gate(model, declared)
     cache: FailureCache | None = {} if config.use_cache else None
     network = Dag(universe)
     warnings: list[DeviationWarning] = []
-    conflicts_before = len(getattr(model, "overlay_conflicts", ()))
 
     existing: NodeSet = frozenset()
     remaining = set(range(len(universe)))
@@ -225,7 +242,7 @@ def build(
     while remaining:
         try:
             winner, stratum = select_winner(
-                counting, info, existing, remaining, cache=cache, config=config
+                gate, info, existing, remaining, cache=cache, config=config
             )
         except StratumNotFoundError as err:
             # the whole existing set always qualifies: nothing is left over
@@ -258,15 +275,13 @@ def build(
         if cache is not None:
             cache.pop(winner, None)
 
-    new_conflicts = list(getattr(model, "overlay_conflicts", ()))[conflicts_before:]
-    for xs, zs, ys in dict.fromkeys(new_conflicts):
-        node = min(xs)
+    for x, z, y in gate.conflicts:
         warnings.append(
             DeviationWarning(
                 WarningKind.OVERLAY_CONFLICT,
-                node,
+                min(bits(x)),
                 "declared independence I({}; {}; {}) contradicts the model".format(
-                    _names(universe, xs), _names(universe, zs), _names(universe, ys)
+                    _names(universe, x), _names(universe, z), _names(universe, y)
                 ),
             )
         )
@@ -277,7 +292,7 @@ def build(
     return BuildResult(
         network=network,
         warnings=warnings,
-        oracle_calls=counting.calls,
+        oracle_calls=gate.calls,
         node_order=node_order,
         _relaxed=relaxed,
     )
@@ -289,12 +304,9 @@ def is_imap(network: Dag, model: IndependenceModel) -> bool:
     Checked by the ordered Markov property, one query per node: along a
     topological order, each node is independent of its earlier non-parents
     given its parents. That suffices only for a semi-graphoid model, as every
-    probabilistic CI relation and every d-separation is; a ``DsepOracle`` with
-    declared independence triples is not one and raises ValueError.
+    probabilistic CI relation and every d-separation is.
     """
     _check_model_universe(model, network.names())
-    if getattr(model, "has_overlay", False):
-        raise ValueError("a DsepOracle with declared triples is no semi-graphoid")
     query = model.is_independent_mask
     return all(query(1 << c, pa, rest) for c, pa, rest in _markov(network) if rest)
 
@@ -325,11 +337,10 @@ def _markov(network: Dag) -> Iterator[tuple[int, int, int]]:
         earlier |= 1 << c
 
 
-def _names(universe: Sequence[str], indices: Iterable[int]) -> str:
-    return "{" + ", ".join(universe[v] for v in sorted(indices)) + "}"
+def _names(universe: Sequence[str], mask: int) -> str:
+    return "{" + ", ".join(universe[v] for v in bits(mask)) + "}"
 
 
 def _check_model_universe(model: IndependenceModel, universe: list[str]) -> None:
-    model_universe = getattr(model, "universe", None)
-    if model_universe is not None and list(model_universe) != universe:
+    if model.universe is not None and list(model.universe) != universe:
         raise ValueError("model universe does not match the requested universe")

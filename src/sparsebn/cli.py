@@ -119,8 +119,7 @@ def _cmd_build(args) -> int:
         use_cache=not args.no_cache,
         trust_expert=args.trust_expert,
     )
-    oracle = DsepOracle(model, declared=info.declared_independencies)
-    result = build(oracle, model.names(), info, config)
+    result = build(DsepOracle(model), model.names(), info, config)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(model_text(result.network))
     print(build_report(result.network, result), end="")
@@ -191,8 +190,8 @@ def _cmd_verify(args) -> int:
             aligned.index_of(candidate.name_of(child)),
         )
     oracle = DsepOracle(model)
-    imap = is_imap(aligned, oracle)
-    minimal = imap and is_minimal_imap(aligned, oracle)
+    minimal = is_minimal_imap(aligned, oracle)
+    imap = minimal or is_imap(aligned, oracle)
     print(f"I-map: {'yes' if imap else 'no'}")
     print(f"minimal I-map: {'yes' if minimal else 'no'}")
     return EXIT_OK if minimal else EXIT_REJECTED

@@ -3,7 +3,8 @@
 An expert may label nodes as hypotheses (roots) or evidence (leaves), state
 that one variable causes another, and declare independence triples. The
 statements compile into an annotated DAG that is kept separate from the
-network under construction and consulted only to rank candidate nodes.
+network under construction and consulted only to rank candidate nodes; the
+declared triples are answered by ``build`` itself, whatever the model.
 
 Statement file grammar, one statement per line (``#`` starts a comment):
 

@@ -149,7 +149,7 @@ def sensitivity_experiment(
             started = time.perf_counter()
             result = build(oracle, universe, info, config)
             elapsed_ms = (time.perf_counter() - started) * 1000.0
-            if verify_imaps and not is_imap(result.network, DsepOracle(ground_truth)):
+            if verify_imaps and not is_imap(result.network, oracle):
                 raise RuntimeError(
                     f"trial {trial}: rebuilt network with {len(causes)} expert "
                     "arcs is not an I-map of the ground truth"

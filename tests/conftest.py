@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from sparsebn import Dag
+from sparsebn import Dag, DsepOracle
 from sparsebn.cli import model_text
 from sparsebn.dsep import d_separated_checked
 
@@ -21,6 +21,19 @@ def make_dag(names, arcs=()):
 
 def arc_names(dag):
     return {(dag.name_of(p), dag.name_of(c)) for p, c in dag.arcs()}
+
+
+class CountingOracle(DsepOracle):
+    """A DsepOracle that counts the mask queries it answers, as an independent
+    check on the count a build reports."""
+
+    def __init__(self, ground_truth):
+        super().__init__(ground_truth)
+        self.calls = 0
+
+    def is_independent_mask(self, x, z, y):
+        self.calls += 1
+        return super().is_independent_mask(x, z, y)
 
 
 def result_bytes(result):

@@ -13,7 +13,9 @@ from sparsebn import (
     Evidence,
     ExpertInfo,
     Hypothesis,
+    Independence,
     IndependenceModel,
+    InvalidQueryError,
     RandomDagSpec,
     StratumNotFoundError,
     WarningKind,
@@ -30,6 +32,7 @@ from sparsebn import (
 )
 
 from conftest import (
+    CountingOracle,
     arc_names,
     exhaustive_is_imap,
     exhaustive_is_minimal_imap,
@@ -38,13 +41,13 @@ from conftest import (
 )
 
 
-def _build(ground_truth, statements=(), declared=(), **config_kwargs):
-    oracle = DsepOracle(ground_truth, declared=declared)
+def _build(ground_truth, statements=(), **config_kwargs):
+    oracle = CountingOracle(ground_truth)
     info = compile_statements(list(statements), ground_truth.names())
     config = BuildConfig(**config_kwargs) if config_kwargs else None
     result = build(oracle, ground_truth.names(), info, config)
-    # the build's own counter and the oracle's must agree
-    assert oracle.call_count == result.oracle_calls
+    # the build's own counter and an independent count must agree
+    assert oracle.calls == result.oracle_calls
     return result
 
 
@@ -62,9 +65,9 @@ def _check_result_invariants(result):
 
 
 def test_stratum_of_first_node_is_empty_without_queries(fig_common_cause):
-    oracle = DsepOracle(fig_common_cause)
+    oracle = CountingOracle(fig_common_cause)
     assert boundary_stratum(oracle, [], 1) == frozenset()
-    assert oracle.call_count == 0
+    assert oracle.calls == 0
 
 
 def test_stratum_single_parent(fig_common_cause):
@@ -91,11 +94,11 @@ def test_stratum_candidate_in_existing_rejected(fig_common_cause):
 
 
 def test_stratum_skips_cached_failures(fig_common_cause):
-    oracle = DsepOracle(fig_common_cause)
+    oracle = CountingOracle(fig_common_cause)
     cache = {0: {0}}  # pretend the empty subset already failed for candidate 0
     boundary_stratum(oracle, [1, 2], 0, cache=cache)
     # only the two singleton subsets were queried; size 2 is call-free
-    assert oracle.call_count == 2
+    assert oracle.calls == 2
 
 
 # ---------------------------------------------------------- winner selection
@@ -241,11 +244,53 @@ def test_bound_wide_enough_changes_nothing():
 
 def test_overlay_conflict_surfaces_as_warning():
     gt = make_dag("A B", [("A", "B")])
-    declared = [(frozenset([1]), frozenset(), frozenset([0]))]
-    result = _build(gt, declared=declared)
-    assert result.network.arc_count == 0
-    assert [w.kind for w in result.warnings] == [WarningKind.OVERLAY_CONFLICT]
-    assert result.warnings[0].node == 1
+    # the declaration answers the one query, I(B; {}; A), in either orientation
+    for declared in (Independence(("B",), (), ("A",)), Independence(("A",), (), ("B",))):
+        result = _build(gt, [declared])
+        assert result.network.arc_count == 0
+        assert [(w.kind, w.node, w.detail) for w in result.warnings] == [
+            (
+                WarningKind.OVERLAY_CONFLICT,
+                1,
+                "declared independence I({B}; {}; {A}) contradicts the model",
+            )
+        ]
+        assert result.oracle_calls == 1
+
+
+def test_consistent_declarations_change_nothing():
+    # declaring d-separations that hold leaves every answer, so every result,
+    # and the query count as they were
+    rng = random.Random(17)
+    for i in range(20):
+        gt = random_dag(RandomDagSpec(6, rng.randint(0, 10), seed=100 + i))
+        names = gt.names()
+        declared = []
+        for _ in range(30):
+            pool = list(range(6))
+            rng.shuffle(pool)
+            cut = rng.randint(1, 5)
+            z = pool[1 : rng.randint(1, cut)]
+            y = pool[1 + len(z) : cut + 1]
+            if d_separated(gt, pool[:1], z, y):
+                declared.append(
+                    Independence(
+                        (names[pool[0]],),
+                        tuple(names[v] for v in z),
+                        tuple(names[v] for v in y),
+                    )
+                )
+        statements = [s for s in full_expert_info(gt) if rng.random() < 0.5]
+        plain = _build(gt, statements)
+        overlaid = _build(gt, statements + declared)
+        assert result_bytes(overlaid) == result_bytes(plain), i
+        assert overlaid.oracle_calls == plain.oracle_calls, i
+
+
+def test_malformed_declaration_raises(fig_common_cause):
+    declared = Independence(("T1",), ("T1",), ("T2",))
+    with pytest.raises(InvalidQueryError, match="pairwise disjoint"):
+        _build(fig_common_cause, [declared])
 
 
 def test_trust_expert_forces_declared_causes_into_parents():
@@ -372,16 +417,6 @@ def test_imap_check_rejects_network_over_other_universe(fig_common_cause):
     wider = make_dag("T T1 T2 T3", [("T", "T3")])
     with pytest.raises(ValueError):
         is_imap(wider, DsepOracle(fig_common_cause))
-
-
-def test_imap_checks_refuse_oracle_with_declared_triples(fig_common_cause):
-    # the overlay answers independent where the graph may not: no semi-graphoid
-    declared = [(frozenset([1]), frozenset([0]), frozenset([2]))]
-    oracle = DsepOracle(fig_common_cause, declared=declared)
-    for check in (is_imap, is_minimal_imap):
-        with pytest.raises(ValueError, match="semi-graphoid"):
-            check(fig_common_cause, oracle)
-    assert oracle.call_count == 0
 
 
 def test_single_node_network_is_minimal():

@@ -1,5 +1,7 @@
 import pytest
 
+import sparsebn.builder
+import sparsebn.cli
 from sparsebn import RandomDagSpec, random_dag
 from sparsebn.cli import main, model_text, parse_model_text
 
@@ -191,6 +193,21 @@ def test_verify_non_minimal_exits_1(tmp_path, model_path, capsys):
     assert "minimal I-map: no" in out
 
 
+def test_verify_checks_imap_once(monkeypatch, model_path, capsys):
+    real, calls = sparsebn.builder.is_imap, []
+
+    def counted(network, model):
+        calls.append(network)
+        return real(network, model)
+
+    monkeypatch.setattr(sparsebn.builder, "is_imap", counted)
+    monkeypatch.setattr(sparsebn.cli, "is_imap", counted)
+    assert main(["verify", model_path, model_path]) == 0
+    assert capsys.readouterr().out == "I-map: yes\nminimal I-map: yes\n"
+    # is_minimal_imap establishes the I-map itself; a yes needs no second check
+    assert len(calls) == 1
+
+
 def test_verify_node_set_mismatch_exits_2(tmp_path, model_path, capsys):
     candidate = _write(tmp_path, "candidate.txt", "node T\nnode T1\n")
     assert main(["verify", model_path, candidate]) == 2
@@ -251,6 +268,14 @@ def test_build_command_indep_statement_conflict_warns(tmp_path, model_path, caps
     assert main(["build", model_path, expert, out]) == 0
     report = capsys.readouterr().out
     assert "overlay_conflict" in report
+
+
+def test_build_command_malformed_indep_exits_2(tmp_path, model_path, capsys):
+    expert = _write(tmp_path, "expert.txt", "indep T1 | T1 | T2\n")
+    out = tmp_path / "built.txt"
+    assert main(["build", model_path, expert, str(out)]) == 2
+    assert "pairwise disjoint" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_single_node_model_builds(tmp_path, capsys):

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from sparsebn import Dag, DsepOracle
+from sparsebn import BuildConfig, Dag, DsepOracle, build, compile_statements
 from sparsebn.cli import model_text
 from sparsebn.dsep import d_separated_checked
 
@@ -34,6 +34,17 @@ class CountingOracle(DsepOracle):
     def is_independent_mask(self, x, z, y):
         self.calls += 1
         return super().is_independent_mask(x, z, y)
+
+
+def counted_build(ground_truth, statements=(), **config_kwargs):
+    """Build against a CountingOracle of ``ground_truth``, checking the build's
+    own query count against the oracle's."""
+    oracle = CountingOracle(ground_truth)
+    info = compile_statements(list(statements), ground_truth.names())
+    config = BuildConfig(**config_kwargs) if config_kwargs else None
+    result = build(oracle, ground_truth.names(), info, config)
+    assert oracle.calls == result.oracle_calls
+    return result
 
 
 def result_bytes(result):

@@ -2,7 +2,18 @@ import random
 
 import pytest
 
-from sparsebn import DsepOracle, InvalidQueryError, RandomDagSpec, random_dag
+from sparsebn import (
+    DsepOracle,
+    Independence,
+    InvalidQueryError,
+    RandomDagSpec,
+    WarningKind,
+    d_separated,
+    full_expert_info,
+    random_dag,
+)
+
+from conftest import counted_build, make_dag, result_bytes
 
 
 def test_fig_common_cause_query(fig_common_cause):
@@ -33,6 +44,68 @@ def test_counter_matches_instrumented_replay():
     answers = [oracle.is_independent(*q) for q in queries]
     # replay is deterministic
     assert [oracle.is_independent(*q) for q in queries] == answers
+
+
+def _assert_declared_answer_overrides(declared):
+    # A -> B: a build's one query, I(B; {}; A), is answered by the declaration,
+    # counted once and reported as contradicting the model
+    gt = make_dag("A B", [("A", "B")])
+    assert not d_separated(gt, [1], [], [0])
+    result = counted_build(gt, [declared])
+    assert result.network.arc_count == 0
+    assert [(w.kind, w.node, w.detail) for w in result.warnings] == [
+        (
+            WarningKind.OVERLAY_CONFLICT,
+            1,
+            "declared independence I({B}; {}; {A}) contradicts the model",
+        )
+    ]
+    assert result.oracle_calls == 1
+
+
+def test_declared_triple_overrides_graph():
+    _assert_declared_answer_overrides(Independence(("B",), (), ("A",)))
+
+
+def test_declared_triple_matches_swapped_sides():
+    _assert_declared_answer_overrides(Independence(("A",), (), ("B",)))
+
+
+def test_consistent_declared_triple_records_no_conflict(fig_common_cause):
+    plain = counted_build(fig_common_cause)
+    overlaid = counted_build(fig_common_cause, [Independence(("T1",), ("T",), ("T2",))])
+    assert overlaid.warnings == []
+    assert result_bytes(overlaid) == result_bytes(plain)
+    assert overlaid.oracle_calls == plain.oracle_calls
+
+
+def test_overlay_is_monotone():
+    # declarations only ever answer True, so declaring d-separations that hold
+    # leaves every answer, so every result, and the query count as they were
+    rng = random.Random(17)
+    for i in range(20):
+        gt = random_dag(RandomDagSpec(6, rng.randint(0, 10), seed=100 + i))
+        names = gt.names()
+        declared = []
+        for _ in range(30):
+            pool = list(range(6))
+            rng.shuffle(pool)
+            cut = rng.randint(1, 5)
+            z = pool[1 : rng.randint(1, cut)]
+            y = pool[1 + len(z) : cut + 1]
+            if d_separated(gt, pool[:1], z, y):
+                declared.append(
+                    Independence(
+                        (names[pool[0]],),
+                        tuple(names[v] for v in z),
+                        tuple(names[v] for v in y),
+                    )
+                )
+        statements = [s for s in full_expert_info(gt) if rng.random() < 0.5]
+        plain = counted_build(gt, statements)
+        overlaid = counted_build(gt, statements + declared)
+        assert result_bytes(overlaid) == result_bytes(plain), i
+        assert overlaid.oracle_calls == plain.oracle_calls, i
 
 
 def test_universe_exposed(fig_common_cause):

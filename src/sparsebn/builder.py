@@ -8,9 +8,9 @@ becomes its parents; a unique top-priority candidate is a race of one.
 Subset search runs in increasing subset size, ascending lexicographic order
 within a size, on int bitmasks (bit v for node v). A subset that failed to
 screen a candidate off can never succeed later against a grown network (the
-failed dependence persists under supersets of the remainder), so failures are
-cached per candidate, as subset masks, and skipped without querying. A placed
-node is never a candidate again, so its cache entry is dropped on placement.
+failed dependence persists under supersets of the remainder), and a losing
+candidate tries whole sizes, so the cache keeps per candidate and size the
+network at which that size was last exhausted, and skips its subsets.
 
 Every query of a build passes one gate, its only call counter. The gate
 answers the expert's declared independencies True, whatever the model is,
@@ -31,7 +31,9 @@ from .dsep import d_separated_checked
 from .expert import ExpertInfo
 from .oracle import IndependenceModel
 
-FailureCache = dict[int, set[int]]  # candidate -> masks of failed subsets
+# candidate -> {subset size: the existing mask at which it tried every subset
+# of that size}; reusable while existing and required masks only grow
+FailureCache = dict[int, dict[int, int]]
 
 
 class StratumNotFoundError(Exception):
@@ -127,25 +129,24 @@ def _search(
     races = []
     for c, req in zip(candidates, required):
         pool = [1 << v for v in bits(existing & ~req)]
-        # uncached, failures live for this call, which tries no pair twice
-        failed = cache.setdefault(c, set()) if cache is not None else set()
-        races.append((c, 1 << c, req, req.bit_count(), pool, failed))
+        done = cache.setdefault(c, {}) if cache is not None else {}
+        races.append((c, 1 << c, req, req.bit_count(), pool, done))
     limit = existing.bit_count()
     if max_parents is not None:
         limit = min(max_parents, limit)
     for size in range(limit + 1):
-        for c, xbit, req, forced, pool, failed in races:
-            pick = size - forced
-            if pick < 0 or pick > len(pool):
+        for c, xbit, req, forced, pool, done in races:
+            if size < forced:
                 continue
-            for combo in itertools.combinations(pool, pick):
+            fresh = ~done[size] if size in done else None  # bits new since then
+            for combo in itertools.combinations(pool, size - forced):
                 subset = req | sum(combo)
-                if subset in failed:
+                if fresh is not None and not subset & fresh:
                     continue
                 rest = existing ^ subset
                 if not rest or query(xbit, subset, rest):
                     return c, nodes_of(subset)
-                failed.add(subset)
+            done[size] = existing
     raise StratumNotFoundError(candidates[0], max_parents)
 
 
@@ -162,7 +163,8 @@ def boundary_stratum(
     Ties within a size resolve to the lexicographically first subset. With
     ``config.max_parents`` set, sizes beyond the bound are not searched and
     StratumNotFoundError is raised if nothing qualified. ``required`` members
-    are forced into every subset tried (trust-the-expert mode).
+    are forced into every subset tried (trust-the-expert mode). A reused
+    ``cache`` needs ``existing`` and ``required`` to only grow.
     """
     config = config or BuildConfig()
     existing_mask = mask_of(existing)
@@ -192,7 +194,8 @@ def select_winner(
     top-priority candidate is a race of one.
 
     Raises StratumNotFoundError when max_parents exhausts every tied
-    candidate; the reported candidate is the first by index.
+    candidate; the reported candidate is the first by index. A reused ``cache``
+    needs ``existing`` and the required parents to only grow, as in ``build``.
     """
     config = config or BuildConfig()
     existing_mask = mask_of(existing)
@@ -272,8 +275,6 @@ def build(
         node_order.append(winner)
         existing |= {winner}
         remaining.remove(winner)
-        if cache is not None:
-            cache.pop(winner, None)
 
     for x, z, y in gate.conflicts:
         warnings.append(

@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .dag import Dag, CycleError, NodeSet
+from .dag import Dag, CycleError, NodeSet, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -148,18 +148,16 @@ class ExpertInfo:
         return Priority.SAME
 
     def maximal_candidates(self, candidates: Iterable[int]) -> NodeSet:
-        """Candidates no other candidate outranks; never empty."""
-        cands = sorted(candidates)
+        """Candidates no other candidate outranks; never empty: the first
+        non-empty tier (hypotheses, unlabelled, evidence) less its members'
+        descendants, as labels rank across tiers and ancestry within one."""
+        cands = mask_of(candidates)
         if not cands:
             raise ValueError("candidates must be non-empty")
-        out = [
-            c
-            for c in cands
-            if not any(
-                self.priority_compare(d, c) is Priority.HIGHER for d in cands if d != c
-            )
-        ]
-        return frozenset(out)
+        hyp, evid = mask_of(self.hypothesis_set), mask_of(self.evidence_set)
+        tier = cands & hyp or cands & ~evid or cands
+        closures = self.info_dag.ancestor_closures()
+        return frozenset(c for c in bits(tier) if closures[c] & tier == 1 << c)
 
 
 def parse_statements(text: str, source: str = "<expert>") -> list[ExpertStatement]:

@@ -86,10 +86,70 @@ def test_stratum_candidate_in_existing_rejected(fig_common_cause):
 
 def test_stratum_skips_cached_failures(fig_common_cause):
     oracle = CountingOracle(fig_common_cause)
-    cache = {0: {0}}  # pretend the empty subset already failed for candidate 0
+    cache = {0: {0: 0}}  # pretend candidate 0 already tried size 0 (the empty set)
     boundary_stratum(oracle, [1, 2], 0, cache=cache)
     # only the two singleton subsets were queried; size 2 is call-free
     assert oracle.calls == 2
+
+
+class _RecordingOracle(DsepOracle):
+    """Records the (x, z) masks of every query it answers."""
+
+    def __init__(self, ground_truth):
+        super().__init__(ground_truth)
+        self.asked = []
+
+    def is_independent_mask(self, x, z, y):
+        self.asked.append((x, z))
+        return super().is_independent_mask(x, z, y)
+
+
+def test_reused_cache_asks_only_new_subsets_at_exhausted_sizes():
+    # X has parents A and B; C is unrelated to X
+    gt = make_dag("A B C X", [("A", "X"), ("B", "X")])
+    A, B, C, X = 1, 2, 4, 8  # node masks
+    oracle = _RecordingOracle(gt)
+    cache = {}
+    assert boundary_stratum(oracle, [0, 1], 3, cache=cache) == {0, 1}
+    assert oracle.asked == [(X, 0), (X, A), (X, B)]
+    assert cache == {3: {0: A | B, 1: A | B}}
+
+    oracle.asked.clear()
+    assert boundary_stratum(oracle, [0, 1, 2], 3, cache=cache) == {0, 1}
+    # sizes 0 and 1 were exhausted at {A, B}: of them only {C} is new
+    assert oracle.asked == [(X, C), (X, A | B)]
+    assert cache == {3: {0: A | B | C, 1: A | B | C}}
+
+
+def _recorded_build(gt, info, **config_kwargs):
+    oracle = _RecordingOracle(gt)
+    result = build(oracle, gt.names(), info, BuildConfig(**config_kwargs))
+    return result, oracle.asked
+
+
+def test_cached_build_asks_each_uncached_query_once():
+    rng = random.Random(808)
+    cases = []
+    for case in range(40):
+        n = rng.randint(4, 7)
+        arcs = rng.randint(0, min(2 * n - 2, n * (n - 1) // 2))
+        gt = random_dag(RandomDagSpec(n, arcs, seed=60_000 + case))
+        keep = rng.random()
+        cases.append((gt, [s for s in full_expert_info(gt) if rng.random() < keep]))
+    for seed in (9003, 9011, 9016):
+        gt = random_dag(RandomDagSpec(26, 36, seed=seed))
+        cases.append((gt, [s for s in full_expert_info(gt) if rng.random() < 0.5]))
+    configs = ({}, {"max_parents": 1}, {"max_parents": 2}, {"trust_expert": True})
+    saw_repeat = False
+    for gt, statements in cases:
+        info = compile_statements(statements, gt.names())
+        for config in configs:
+            cached, asked = _recorded_build(gt, info, **config)
+            _, uncached_asked = _recorded_build(gt, info, use_cache=False, **config)
+            assert len(set(asked)) == len(asked) == cached.oracle_calls, config
+            assert set(asked) == set(uncached_asked), config
+            saw_repeat |= len(uncached_asked) > len(asked)
+    assert saw_repeat
 
 
 # ---------------------------------------------------------- winner selection

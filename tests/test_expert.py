@@ -184,10 +184,10 @@ def test_unannotated_unrelated_nodes_are_same():
     assert info.priority_compare(2, 2) is Priority.SAME
 
 
-def test_priority_antisymmetry_on_random_infos():
-    rng = random.Random(31)
+def _random_infos(rng, count=40):
+    """Compiled infos over six nodes with random labels and cause arcs."""
     names = [f"v{i}" for i in range(6)]
-    for _ in range(40):
+    for _ in range(count):
         statements = []
         for v in names:
             roll = rng.random()
@@ -205,6 +205,11 @@ def test_priority_antisymmetry_on_random_infos():
             info = compile_statements(statements, names)
         except ContradictionError:
             continue
+        yield info
+
+
+def test_priority_antisymmetry_on_random_infos():
+    for info in _random_infos(random.Random(31)):
         for a in range(6):
             assert info.priority_compare(a, a) is Priority.SAME
             for b in range(6):
@@ -250,6 +255,19 @@ def test_maximal_candidates_subset_and_nonempty():
         winners = info.maximal_candidates(pool)
         assert winners
         assert winners <= set(pool)
+
+
+def test_maximal_candidates_match_pairwise_definition():
+    rng = random.Random(32)
+    for info in _random_infos(rng, count=100):
+        for _ in range(5):
+            pool = rng.sample(range(6), rng.randint(1, 6))
+            pairwise = {
+                c
+                for c in pool
+                if not any(info.priority_compare(d, c) is Priority.HIGHER for d in pool)
+            }
+            assert info.maximal_candidates(pool) == pairwise
 
 
 def test_maximal_candidates_rejects_empty():

@@ -36,13 +36,10 @@ from .builder import (
     BuildConfig,
     BuildResult,
     DeviationWarning,
-    StratumNotFoundError,
     WarningKind,
-    boundary_stratum,
     build,
     is_imap,
     is_minimal_imap,
-    select_winner,
 )
 from .harness import (
     ExperimentRecord,
@@ -56,7 +53,7 @@ from .harness import (
     write_records_csv,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BuildConfig",
@@ -85,10 +82,8 @@ __all__ = [
     "ParseError",
     "Priority",
     "RandomDagSpec",
-    "StratumNotFoundError",
     "UnknownNodeError",
     "WarningKind",
-    "boundary_stratum",
     "build",
     "check_query",
     "compile_statements",
@@ -99,7 +94,6 @@ __all__ = [
     "is_minimal_imap",
     "parse_statements",
     "random_dag",
-    "select_winner",
     "sensitivity_experiment",
     "summarize_experiment",
     "write_records_csv",

@@ -12,19 +12,22 @@ failed dependence persists under supersets of the remainder), and a losing
 candidate tries whole sizes, so the cache keeps per candidate and size the
 network at which that size was last exhausted, and skips its subsets.
 
-Every query of a build passes one gate, its only call counter. The gate
-answers the expert's declared independencies True, whatever the model is,
-and asks the model about a declared triple only to report a contradiction.
+The search counts its own queries, and a build sums them: that is the
+build's only call counter. Without declared independencies the search calls
+the model's ``is_independent_mask`` directly. With them, ``build`` puts one
+overlay in front of the model: a declared triple answers True whatever the
+model is, counts as one query, and asks the model only to report a
+contradiction.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .dag import Dag, NodeSet, bits, mask_of, nodes_of
+from .dag import Dag, NodeSet, bits, mask_of
 from .dsep import check_query
 # not called here; perfbench's tracer patches this module global by name
 from .dsep import d_separated_checked
@@ -39,12 +42,13 @@ FailureCache = dict[int, dict[int, int]]
 class StratumNotFoundError(Exception):
     """No qualifying parent set of size <= max_parents exists for a node."""
 
-    def __init__(self, candidate: int, max_parents: int):
+    def __init__(self, candidate: int, max_parents: int, queries: int):
         super().__init__(
             f"no parent set of size <= {max_parents} for node {candidate}"
         )
         self.candidate = candidate
         self.max_parents = max_parents
+        self.queries = queries  # asked before the bound ran out
 
 
 @dataclass(frozen=True)
@@ -90,42 +94,27 @@ class BuildResult:
         return not self._relaxed
 
 
-class _Gate:
-    """Counts a build's queries; declared triples (as (z, x, y) masks, in both
-    x/y orientations) answer True, and those the model denies are recorded."""
-
-    __slots__ = ("query", "declared", "conflicts", "calls")
-
-    def __init__(self, model: IndependenceModel, declared: set[tuple[int, int, int]]):
-        self.query = model.is_independent_mask
-        self.declared = declared
-        self.conflicts: dict[tuple[int, int, int], None] = {}  # first-hit order
-        self.calls = 0
-
-    def is_independent_mask(self, x: int, z: int, y: int) -> bool:
-        self.calls += 1
-        if self.declared and (z, x, y) in self.declared:
-            if not self.query(x, z, y):
-                self.conflicts.setdefault((x, z, y))
-            return True
-        return self.query(x, z, y)
-
-
-def _search(
-    model,
+def boundary_stratum(
+    query: Callable[[int, int, int], bool],
     existing: int,
     candidates: Sequence[int],
     required: Sequence[int],
     max_parents: int | None,
     cache: FailureCache | None,
-) -> tuple[int, NodeSet]:
-    """Race ``candidates`` in lockstep; the first to find a screening subset wins.
+) -> tuple[int, int, int]:
+    """Race ``candidates`` in lockstep for the smallest subset of ``existing``
+    that screens one of them off the rest; return the winner, that subset and
+    the number of ``query`` calls made.
 
     Every candidate tries size k, each subset holding its ``required`` mask,
-    before any tries k+1. The whole existing set qualifies without a query
-    (independence from nothing is vacuous).
+    before any tries k+1; within a size subsets go in ascending lexicographic
+    order, so ties resolve to the first candidate in ``candidates``. The whole
+    existing set qualifies without a query (independence from nothing is
+    vacuous). Sizes beyond ``max_parents`` are not searched: if nothing
+    qualified, StratumNotFoundError carries the first candidate and the
+    queries made. A ``cache`` reused across calls stays valid only while
+    ``existing`` and each candidate's ``required`` mask only grow.
     """
-    query = model.is_independent_mask
     races = []
     for c, req in zip(candidates, required):
         pool = [1 << v for v in bits(existing & ~req)]
@@ -134,6 +123,7 @@ def _search(
     limit = existing.bit_count()
     if max_parents is not None:
         limit = min(max_parents, limit)
+    asked = 0
     for size in range(limit + 1):
         for c, xbit, req, forced, pool, done in races:
             if size < forced:
@@ -144,67 +134,52 @@ def _search(
                 if fresh is not None and not subset & fresh:
                     continue
                 rest = existing ^ subset
-                if not rest or query(xbit, subset, rest):
-                    return c, nodes_of(subset)
+                if not rest:
+                    return c, subset, asked
+                asked += 1
+                if query(xbit, subset, rest):
+                    return c, subset, asked
             done[size] = existing
-    raise StratumNotFoundError(candidates[0], max_parents)
-
-
-def boundary_stratum(
-    model,
-    existing: Iterable[int],
-    candidate: int,
-    cache: FailureCache | None = None,
-    config: BuildConfig | None = None,
-    required: Iterable[int] = (),
-) -> NodeSet:
-    """Smallest subset of ``existing`` screening ``candidate`` off the rest.
-
-    Ties within a size resolve to the lexicographically first subset. With
-    ``config.max_parents`` set, sizes beyond the bound are not searched and
-    StratumNotFoundError is raised if nothing qualified. ``required`` members
-    are forced into every subset tried (trust-the-expert mode). A reused
-    ``cache`` needs ``existing`` and ``required`` to only grow.
-    """
-    config = config or BuildConfig()
-    existing_mask = mask_of(existing)
-    required_mask = mask_of(required)
-    if existing_mask >> candidate & 1:
-        raise ValueError("candidate is already part of the network")
-    if required_mask & ~existing_mask:
-        raise ValueError("required parents must already be in the network")
-    return _search(
-        model, existing_mask, [candidate], [required_mask], config.max_parents, cache
-    )[1]
+    raise StratumNotFoundError(candidates[0], max_parents, asked)
 
 
 def select_winner(
-    model,
+    query: Callable[[int, int, int], bool],
     info: ExpertInfo,
-    existing: Iterable[int],
+    existing: int,
     candidates: Iterable[int],
-    cache: FailureCache | None = None,
-    config: BuildConfig | None = None,
-) -> tuple[int, NodeSet]:
-    """Pick the next node to add and its parent set.
-
-    The top-priority candidates are searched in lockstep: every one at
-    subset size k before any at k+1, so the winner is the one with the
-    smallest stratum, ascending node index breaking ties. A unique
-    top-priority candidate is a race of one.
-
-    Raises StratumNotFoundError when max_parents exhausts every tied
-    candidate; the reported candidate is the first by index. A reused ``cache``
-    needs ``existing`` and the required parents to only grow, as in ``build``.
-    """
-    config = config or BuildConfig()
-    existing_mask = mask_of(existing)
+    cache: FailureCache | None,
+    config: BuildConfig,
+) -> tuple[int, int, int]:
+    """Pick the next node to add: race the top-priority candidates, in index
+    order, through ``boundary_stratum`` and return what it returns. With
+    ``trust_expert`` each candidate's placed declared causes are required."""
     maximal = sorted(info.maximal_candidates(candidates))
     if config.trust_expert:
-        required = [mask_of(info.declared_causes(c)) & existing_mask for c in maximal]
+        required = [mask_of(info.declared_causes(c)) & existing for c in maximal]
     else:
         required = [0] * len(maximal)
-    return _search(model, existing_mask, maximal, required, config.max_parents, cache)
+    max_parents = config.max_parents
+    return boundary_stratum(query, existing, maximal, required, max_parents, cache)
+
+
+def _overlay(
+    query: Callable[[int, int, int], bool],
+    declared: set[tuple[int, int, int]],
+    conflicts: dict[tuple[int, int, int], None],
+) -> Callable[[int, int, int], bool]:
+    """``query`` with the declared triples, as (z, x, y) masks in both x/y
+    orientations, answering True; a declared triple the model denies is
+    recorded in ``conflicts``, in first-hit order."""
+
+    def overlaid(x: int, z: int, y: int) -> bool:
+        if (z, x, y) in declared:
+            if not query(x, z, y):
+                conflicts.setdefault((x, z, y))
+            return True
+        return query(x, z, y)
+
+    return overlaid
 
 
 def build(
@@ -233,37 +208,42 @@ def build(
     for triple in info.declared_independencies:
         x, z, y = map(mask_of, check_query(info.info_dag, *triple))
         declared |= {(z, x, y), (z, y, x)}
+    query = model.is_independent_mask
+    conflicts: dict[tuple[int, int, int], None] = {}
+    if declared:
+        query = _overlay(query, declared, conflicts)
 
-    gate = _Gate(model, declared)
     cache: FailureCache | None = {} if config.use_cache else None
     network = Dag(universe)
     warnings: list[DeviationWarning] = []
 
-    existing: NodeSet = frozenset()
+    calls = 0
+    existing = 0
     remaining = set(range(len(universe)))
     node_order: list[int] = []
     while remaining:
         try:
-            winner, stratum = select_winner(
-                gate, info, existing, remaining, cache=cache, config=config
+            winner, parents, asked = select_winner(
+                query, info, existing, remaining, cache, config
             )
         except StratumNotFoundError as err:
             # the whole existing set always qualifies: nothing is left over
-            winner, stratum = err.candidate, existing
+            winner, parents, asked = err.candidate, existing, err.queries
             warnings.append(
                 DeviationWarning(
                     WarningKind.PARENT_BOUND_FALLBACK,
                     winner,
                     "no parent set of size <= {} found for {}; keeping all {} "
                     "earlier nodes".format(
-                        config.max_parents, universe[winner], len(existing)
+                        config.max_parents, universe[winner], len(node_order)
                     ),
                 )
             )
-        for parent in sorted(stratum):
+        calls += asked
+        for parent in bits(parents):
             network.add_arc(parent, winner)
         for cause in sorted(info.declared_causes(winner)):
-            if cause not in stratum:
+            if not parents >> cause & 1:
                 warnings.append(
                     DeviationWarning(
                         WarningKind.MISSING_DECLARED_CAUSE,
@@ -273,10 +253,10 @@ def build(
                     )
                 )
         node_order.append(winner)
-        existing |= {winner}
+        existing |= 1 << winner
         remaining.remove(winner)
 
-    for x, z, y in gate.conflicts:
+    for x, z, y in conflicts:
         warnings.append(
             DeviationWarning(
                 WarningKind.OVERLAY_CONFLICT,
@@ -293,7 +273,7 @@ def build(
     return BuildResult(
         network=network,
         warnings=warnings,
-        oracle_calls=gate.calls,
+        oracle_calls=calls,
         node_order=node_order,
         _relaxed=relaxed,
     )
@@ -316,24 +296,25 @@ def is_minimal_imap(network: Dag, model: IndependenceModel) -> bool:
     """I-map whose every arc is load-bearing: deleting any one breaks it.
 
     Deleting p -> c changes only c's ordered Markov statement, to
-    I(c; parents - p; earlier non-parents + p): one query per arc. The
-    semi-graphoid precondition of ``is_imap`` applies.
+    I(c; parents - p; earlier non-parents + p): one query per arc, asked
+    per node after that node's own statement, in one walk. The semi-graphoid
+    precondition of ``is_imap`` applies.
     """
-    if not is_imap(network, model):
-        return False
+    _check_model_universe(model, network.names())
     query = model.is_independent_mask
-    return not any(
-        query(1 << c, pa ^ 1 << p, rest | 1 << p)
-        for c, pa, rest in _markov(network)
-        for p in bits(pa)
-    )
+    for c, pa, rest in _markov(network):
+        if rest and not query(1 << c, pa, rest):
+            return False
+        if any(query(1 << c, pa ^ 1 << p, rest | 1 << p) for p in bits(pa)):
+            return False
+    return True
 
 
 def _markov(network: Dag) -> Iterator[tuple[int, int, int]]:
     """Per node in topological order: it, its parents and its earlier non-parents."""
     earlier = 0
     for c in network.topological_order():
-        parents = mask_of(network.parents(c))
+        parents = network._parent_masks[c]
         yield c, parents, earlier & ~parents
         earlier |= 1 << c
 

@@ -17,9 +17,7 @@ from sparsebn import (
     IndependenceModel,
     InvalidQueryError,
     RandomDagSpec,
-    StratumNotFoundError,
     WarningKind,
-    boundary_stratum,
     build,
     compile_statements,
     d_separated,
@@ -28,8 +26,10 @@ from sparsebn import (
     is_imap,
     is_minimal_imap,
     random_dag,
-    select_winner,
 )
+from sparsebn import builder
+from sparsebn.builder import StratumNotFoundError
+from sparsebn.dag import mask_of, nodes_of
 
 from conftest import (
     CountingOracle,
@@ -55,6 +55,25 @@ def _check_result_invariants(result):
 # ---------------------------------------------------------- boundary search
 
 
+def boundary_stratum(model, existing, candidate, cache=None, config=None):
+    """The internal search for one candidate, over node lists: its stratum."""
+    max_parents = (config or BuildConfig()).max_parents
+    query = model.is_independent_mask
+    _, parents, _ = builder.boundary_stratum(
+        query, mask_of(existing), [candidate], [0], max_parents, cache
+    )
+    return nodes_of(parents)
+
+
+def select_winner(model, info, existing, candidates):
+    """The internal winner selection, over node lists: winner and stratum."""
+    query, config = model.is_independent_mask, BuildConfig()
+    winner, parents, _ = builder.select_winner(
+        query, info, mask_of(existing), candidates, None, config
+    )
+    return winner, nodes_of(parents)
+
+
 def test_stratum_of_first_node_is_empty_without_queries(fig_common_cause):
     oracle = CountingOracle(fig_common_cause)
     assert boundary_stratum(oracle, [], 1) == frozenset()
@@ -75,13 +94,10 @@ def test_stratum_forced_full_set(fig_common_cause):
 def test_stratum_not_found_within_bound():
     collider = make_dag("A B C", [("A", "C"), ("B", "C")])
     oracle = DsepOracle(collider)
-    with pytest.raises(StratumNotFoundError):
+    with pytest.raises(StratumNotFoundError) as raised:
         boundary_stratum(oracle, [0, 1], 2, config=BuildConfig(max_parents=1))
-
-
-def test_stratum_candidate_in_existing_rejected(fig_common_cause):
-    with pytest.raises(ValueError):
-        boundary_stratum(DsepOracle(fig_common_cause), [0, 1], 1)
+    # the empty set and both singletons were asked before the bound ran out
+    assert raised.value.queries == 3
 
 
 def test_stratum_skips_cached_failures(fig_common_cause):
@@ -180,6 +196,33 @@ def test_equal_strata_tie_breaks_by_index():
     winner, stratum = select_winner(DsepOracle(gt), info, [0], {1, 2})
     assert winner == 1
     assert stratum == {0}
+
+
+def test_build_enters_each_search_layer_once_per_node(monkeypatch, diamond):
+    # build reaches both layers through their module globals, once per node
+    # placed, a parent-bound fallback included; with nothing declared, the
+    # search queries the model's own method, with no wrapper in between
+    calls, queries = Counter(), set()
+    for name in ("select_winner", "boundary_stratum"):
+
+        def counted(*args, _name=name, _real=getattr(builder, name)):
+            calls[_name] += 1
+            queries.add(getattr(args[0], "__func__", args[0]))
+            return _real(*args)
+
+        monkeypatch.setattr(builder, name, counted)
+    paper = random_dag(RandomDagSpec(26, 36, seed=9000))
+    collider = make_dag("A B C", [("A", "C"), ("B", "C")])
+    for gt, statements, config in (
+        (diamond, [], {}),
+        (paper, full_expert_info(paper), {}),
+        (collider, [], {"max_parents": 1}),
+    ):
+        calls.clear()
+        _build(gt, statements, **config)
+        n = gt.node_count
+        assert calls == {"select_winner": n, "boundary_stratum": n}, gt.names()
+    assert queries == {CountingOracle.is_independent_mask}
 
 
 # ------------------------------------------------------------------- builds

@@ -193,7 +193,7 @@ def test_verify_non_minimal_exits_1(tmp_path, model_path, capsys):
     assert "minimal I-map: no" in out
 
 
-def test_verify_checks_imap_once(monkeypatch, model_path, capsys):
+def test_verify_checks_imap_once(monkeypatch, tmp_path, model_path, capsys):
     real, calls = sparsebn.builder.is_imap, []
 
     def counted(network, model):
@@ -204,7 +204,14 @@ def test_verify_checks_imap_once(monkeypatch, model_path, capsys):
     monkeypatch.setattr(sparsebn.cli, "is_imap", counted)
     assert main(["verify", model_path, model_path]) == 0
     assert capsys.readouterr().out == "I-map: yes\nminimal I-map: yes\n"
-    # is_minimal_imap establishes the I-map itself; a yes needs no second check
+    # is_minimal_imap checks the I-map half itself; a yes needs no is_imap
+    assert len(calls) == 0
+
+    # a no does: an I-map with one spurious arc is told apart from a non-I-map
+    padded = with_forward_arc(parse_model_text(COMMON_CAUSE_MODEL))
+    candidate = _write(tmp_path, "padded.txt", model_text(padded))
+    assert main(["verify", model_path, candidate]) == 1
+    assert capsys.readouterr().out == "I-map: yes\nminimal I-map: no\n"
     assert len(calls) == 1
 
 

@@ -12,12 +12,19 @@ failed dependence persists under supersets of the remainder), and a losing
 candidate tries whole sizes, so the cache keeps per candidate and size the
 network at which that size was last exhausted, and skips its subsets.
 
-The search counts its own queries, and a build sums them: that is the
-build's only call counter. Without declared independencies the search calls
-the model's ``is_independent_mask`` directly. With them, ``build`` puts one
-overlay in front of the model: a declared triple answers True whatever the
-model is, counts as one query, and asks the model only to report a
-contradiction.
+A subset that leaves one of the model's ``dependent_mask`` nodes in the
+rest fails by decomposition, so only the supersets of those nodes are
+enumerated; within a size they keep their relative order. The search still
+counts every question the full walk would put, and a build sums the counts:
+that is the build's only call counter. A size tried to the end counts
+C(pool, k) less the C(stale, k) subsets the cache skipped; a winner counts
+its lexicographic rank among the subsets not skipped, plus one.
+
+Without declared independencies the search calls the model's
+``is_independent_mask`` directly. With them, ``build`` reads no dependence
+masks and puts one overlay in front of the model: a declared triple answers
+True whatever the model is, counts as one query, and asks the model only to
+report a contradiction.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from math import comb
 
 from .dag import Dag, NodeSet, bits, mask_of
 from .dsep import check_query
@@ -99,48 +107,85 @@ def boundary_stratum(
     existing: int,
     candidates: Sequence[int],
     required: Sequence[int],
+    dependent: Sequence[int],
     max_parents: int | None,
     cache: FailureCache | None,
 ) -> tuple[int, int, int]:
     """Race ``candidates`` in lockstep for the smallest subset of ``existing``
     that screens one of them off the rest; return the winner, that subset and
-    the number of ``query`` calls made.
+    the number of questions counted. ``required`` holds a mask per candidate,
+    ``dependent`` one per node.
 
     Every candidate tries size k, each subset holding its ``required`` mask,
     before any tries k+1; within a size subsets go in ascending lexicographic
     order, so ties resolve to the first candidate in ``candidates``. The whole
     existing set qualifies without a query (independence from nothing is
-    vacuous). Sizes beyond ``max_parents`` are not searched: if nothing
-    qualified, StratumNotFoundError carries the first candidate and the
-    queries made. A ``cache`` reused across calls stays valid only while
+    vacuous), and a subset that leaves a node of the candidate's
+    ``dependent`` mask in the rest fails without one, counted all the same.
+    Sizes beyond ``max_parents`` are not searched: if nothing qualified,
+    StratumNotFoundError carries the first candidate and the questions
+    counted. A ``cache`` reused across calls stays valid only while
     ``existing`` and each candidate's ``required`` mask only grow.
     """
     races = []
     for c, req in zip(candidates, required):
-        pool = [1 << v for v in bits(existing & ~req)]
+        free = existing & ~req
+        base = req | dependent[c] & free
+        pool = [1 << v for v in bits(free & ~base)]
         done = cache.setdefault(c, {}) if cache is not None else {}
-        races.append((c, 1 << c, req, req.bit_count(), pool, done))
+        races.append((c, 1 << c, req, base, free, pool, done))
     limit = existing.bit_count()
     if max_parents is not None:
         limit = min(max_parents, limit)
     asked = 0
     for size in range(limit + 1):
-        for c, xbit, req, forced, pool, done in races:
-            if size < forced:
+        for c, xbit, req, base, free, pool, done in races:
+            k = size - req.bit_count()
+            if k < 0:
                 continue
-            fresh = ~done[size] if size in done else None  # bits new since then
-            for combo in itertools.combinations(pool, size - forced):
-                subset = req | sum(combo)
-                if fresh is not None and not subset & fresh:
+            stale = done.get(size)
+            if stale is not None and req & ~stale:
+                stale = None  # every subset holds a required node placed since
+            extra = size - base.bit_count()
+            for combo in itertools.combinations(pool, extra) if extra >= 0 else ():
+                subset = base | sum(combo)
+                if stale is not None and not subset & ~stale:
                     continue
                 rest = existing ^ subset
                 if not rest:
                     return c, subset, asked
-                asked += 1
                 if query(xbit, subset, rest):
-                    return c, subset, asked
+                    return c, subset, asked + _lex_rank(free, subset & free, stale) + 1
+            asked += comb(free.bit_count(), k)
+            if stale is not None:
+                asked -= comb((free & stale).bit_count(), k)
             done[size] = existing
     raise StratumNotFoundError(candidates[0], max_parents, asked)
+
+
+def _lex_rank(free: int, chosen: int, stale: int | None) -> int:
+    """How many subsets of ``free`` as large as ``chosen`` precede it in
+    lexicographic order, leaving out those inside ``stale`` (Knuth, TAOCP 4A
+    §7.2.1.3): per unchosen v, those that agree below v and take v next."""
+    left = chosen.bit_count()
+    above = free.bit_count()
+    stale_above = (free & stale).bit_count() if stale is not None else 0
+    all_stale = stale is not None
+    rank = 0
+    while left:
+        v = free & -free  # the lowest node left, as a mask
+        free ^= v
+        above -= 1
+        in_stale = all_stale and bool(stale & v)
+        stale_above -= in_stale
+        if chosen & v:
+            left -= 1
+            all_stale = in_stale
+        else:
+            rank += comb(above, left - 1)
+            if in_stale:
+                rank -= comb(stale_above, left - 1)
+    return rank
 
 
 def select_winner(
@@ -148,6 +193,7 @@ def select_winner(
     info: ExpertInfo,
     existing: int,
     candidates: Iterable[int],
+    dependent: Sequence[int],
     cache: FailureCache | None,
     config: BuildConfig,
 ) -> tuple[int, int, int]:
@@ -160,7 +206,9 @@ def select_winner(
     else:
         required = [0] * len(maximal)
     max_parents = config.max_parents
-    return boundary_stratum(query, existing, maximal, required, max_parents, cache)
+    return boundary_stratum(
+        query, existing, maximal, required, dependent, max_parents, cache
+    )
 
 
 def _overlay(
@@ -212,6 +260,10 @@ def build(
     conflicts: dict[tuple[int, int, int], None] = {}
     if declared:
         query = _overlay(query, declared, conflicts)
+    # a declared triple answers True even against a direct arc
+    dependent = [
+        0 if declared else model.dependent_mask(v) for v in range(len(universe))
+    ]
 
     cache: FailureCache | None = {} if config.use_cache else None
     network = Dag(universe)
@@ -224,7 +276,7 @@ def build(
     while remaining:
         try:
             winner, parents, asked = select_winner(
-                query, info, existing, remaining, cache, config
+                query, info, existing, remaining, dependent, cache, config
             )
         except StratumNotFoundError as err:
             # the whole existing set always qualifies: nothing is left over

@@ -38,6 +38,15 @@ class IndependenceModel(ABC):
         """
         return self.is_independent(nodes_of(x), nodes_of(z), nodes_of(y))
 
+    def dependent_mask(self, v: int) -> int:
+        """Nodes y, as a bitmask, for which I(v; z; y) fails for every z.
+
+        ``build`` answers a question whose y-set meets it "dependent" without
+        a model call, which is exact for a semi-graphoid; a y that some z
+        separates from v must not be in it. The default, 0, asks the model.
+        """
+        return 0
+
 
 class DsepOracle(IndependenceModel):
     """d-separation in a ground-truth DAG.
@@ -65,3 +74,7 @@ class DsepOracle(IndependenceModel):
 
     def is_independent_mask(self, x: int, z: int, y: int) -> bool:
         return d_separated_checked(self._dag, x, z, y)
+
+    def dependent_mask(self, v: int) -> int:
+        # a direct arc is a path that no conditioning set blocks
+        return self._dag._parent_masks[v] | self._dag._child_masks[v]

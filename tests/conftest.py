@@ -25,7 +25,8 @@ def arc_names(dag):
 
 class CountingOracle(DsepOracle):
     """A DsepOracle that counts the mask queries it answers, as an independent
-    check on the count a build reports."""
+    check on the count a build reports. It declares no dependence mask, so
+    every question a build counts reaches it."""
 
     def __init__(self, ground_truth):
         super().__init__(ground_truth)
@@ -34,6 +35,9 @@ class CountingOracle(DsepOracle):
     def is_independent_mask(self, x, z, y):
         self.calls += 1
         return super().is_independent_mask(x, z, y)
+
+    def dependent_mask(self, v):
+        return 0
 
 
 def counted_build(ground_truth, statements=(), **config_kwargs):

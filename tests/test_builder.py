@@ -59,8 +59,9 @@ def boundary_stratum(model, existing, candidate, cache=None, config=None):
     """The internal search for one candidate, over node lists: its stratum."""
     max_parents = (config or BuildConfig()).max_parents
     query = model.is_independent_mask
+    dependent = [model.dependent_mask(v) for v in range(len(model.universe))]
     _, parents, _ = builder.boundary_stratum(
-        query, mask_of(existing), [candidate], [0], max_parents, cache
+        query, mask_of(existing), [candidate], [0], dependent, max_parents, cache
     )
     return nodes_of(parents)
 
@@ -68,8 +69,9 @@ def boundary_stratum(model, existing, candidate, cache=None, config=None):
 def select_winner(model, info, existing, candidates):
     """The internal winner selection, over node lists: winner and stratum."""
     query, config = model.is_independent_mask, BuildConfig()
+    dependent = [model.dependent_mask(v) for v in range(info.info_dag.node_count)]
     winner, parents, _ = builder.select_winner(
-        query, info, mask_of(existing), candidates, None, config
+        query, info, mask_of(existing), candidates, dependent, None, config
     )
     return winner, nodes_of(parents)
 
@@ -108,8 +110,82 @@ def test_stratum_skips_cached_failures(fig_common_cause):
     assert oracle.calls == 2
 
 
+def test_lex_rank_matches_enumeration():
+    # a subset's rank is how many equal-size subsets of the pool the
+    # lexicographic walk asks before it: all of them but the ones the failure
+    # cache skips, those inside the stale mask
+    rng = random.Random(31)
+    for case in range(300):
+        nodes = sorted(rng.sample(range(12), rng.randint(0, 8)))
+        free = mask_of(nodes)
+        if case % 3 == 0:
+            stale = None
+        elif case % 3 == 1:  # the leading pool nodes all stale
+            stale = mask_of(nodes[: rng.randint(0, len(nodes))]) | rng.getrandbits(12)
+        else:
+            stale = rng.getrandbits(12)
+        for k in range(len(nodes) + 1):
+            asked = 0
+            for combo in itertools.combinations(nodes, k):
+                chosen = mask_of(combo)
+                assert builder._lex_rank(free, chosen, stale) == asked, (
+                    case, free, chosen, stale,
+                )
+                asked += stale is None or bool(chosen & ~stale)
+
+
+class _MaskedCountingOracle(CountingOracle):
+    """Counts the questions that reach d-separation past DsepOracle's mask."""
+
+    dependent_mask = DsepOracle.dependent_mask
+
+
+def _mask_cases():
+    rng = random.Random(4343)
+    for seed in range(9000, 9020):
+        gt = random_dag(RandomDagSpec(26, 36, seed=seed))
+        full = full_expert_info(gt)
+        labels = [s for s in full if not isinstance(s, CauseOf)]
+        for statements in (full, full[: len(full) // 2], labels):
+            yield gt, statements
+    for case in range(300):
+        n = rng.randint(4, 7)
+        arcs = rng.randint(0, min(2 * n - 2, n * (n - 1) // 2))
+        gt = random_dag(RandomDagSpec(n, arcs, seed=80_000 + case))
+        keep = rng.random()
+        yield gt, [s for s in full_expert_info(gt) if rng.random() < keep]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {},
+        {"use_cache": False},
+        {"max_parents": 1},
+        {"max_parents": 2},
+        {"trust_expert": True},
+        {"trust_expert": True, "max_parents": 2},
+    ],
+    ids=repr,
+)
+def test_dependent_mask_changes_no_result_or_count(config):
+    # the mask answers questions without the model and counts them by rank;
+    # without it (CountingOracle) the build's count is the model's own
+    real = counted = 0
+    for gt, statements in _mask_cases():
+        oracle = _MaskedCountingOracle(gt)
+        info = compile_statements(statements, gt.names())
+        masked = build(oracle, gt.names(), info, BuildConfig(**config))
+        unmasked = _build(gt, statements, **config)
+        assert result_bytes(masked) == result_bytes(unmasked), (gt.arcs(), config)
+        assert masked.oracle_calls == unmasked.oracle_calls, (gt.arcs(), config)
+        real, counted = real + oracle.calls, counted + masked.oracle_calls
+    assert real < counted
+
+
 class _RecordingOracle(DsepOracle):
-    """Records the (x, z) masks of every query it answers."""
+    """Records the (x, z) masks of every query it answers; it declares no
+    dependence mask, so every question a build counts reaches it."""
 
     def __init__(self, ground_truth):
         super().__init__(ground_truth)
@@ -118,6 +194,9 @@ class _RecordingOracle(DsepOracle):
     def is_independent_mask(self, x, z, y):
         self.asked.append((x, z))
         return super().is_independent_mask(x, z, y)
+
+    def dependent_mask(self, v):
+        return 0
 
 
 def test_reused_cache_asks_only_new_subsets_at_exhausted_sizes():

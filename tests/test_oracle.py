@@ -8,10 +8,13 @@ from sparsebn import (
     InvalidQueryError,
     RandomDagSpec,
     WarningKind,
+    build,
+    compile_statements,
     d_separated,
     full_expert_info,
     random_dag,
 )
+from sparsebn.dsep import d_separated_checked
 
 from conftest import counted_build, make_dag, result_bytes
 
@@ -44,6 +47,47 @@ def test_counter_matches_instrumented_replay():
     answers = [oracle.is_independent(*q) for q in queries]
     # replay is deterministic
     assert [oracle.is_independent(*q) for q in queries] == answers
+
+
+def test_dependent_mask_is_sound_and_exact():
+    # a node in v's mask stays dependent on v under every conditioning set;
+    # one outside it is separated from v by v's or its own parents (the local
+    # Markov property picks whichever of the two is the later node)
+    rng = random.Random(23)
+    for i in range(60):
+        n = rng.randint(2, 9)
+        arcs = rng.randint(0, n * (n - 1) // 2)
+        dag = random_dag(RandomDagSpec(n, arcs, seed=i))
+        oracle = DsepOracle(dag)
+        for v in range(n):
+            mask = oracle.dependent_mask(v)
+            assert not mask >> v & 1
+            for y in range(n):
+                if y == v:
+                    continue
+                others = [u for u in range(n) if u not in (v, y)]
+                if mask >> y & 1:
+                    for _ in range(10):
+                        z = sum(1 << u for u in others if rng.random() < 0.5)
+                        assert not d_separated_checked(dag, 1 << v, z, 1 << y)
+                else:
+                    assert any(
+                        d_separated_checked(dag, 1 << v, z, 1 << y)
+                        for z in (dag._parent_masks[v], dag._parent_masks[y])
+                    ), (dag.arcs(), v, y)
+
+
+def test_declared_triple_overrides_dependent_mask():
+    # against a plain DsepOracle, whose mask puts A in B's way: the declared
+    # triple still answers the build's one question
+    gt = make_dag("A B", [("A", "B")])
+    oracle = DsepOracle(gt)
+    assert oracle.dependent_mask(1) == 1
+    info = compile_statements([Independence(("B",), (), ("A",))], gt.names())
+    result = build(oracle, gt.names(), info)
+    assert result.network.arc_count == 0
+    assert [w.kind for w in result.warnings] == [WarningKind.OVERLAY_CONFLICT]
+    assert result.oracle_calls == 1
 
 
 def _assert_declared_answer_overrides(declared):

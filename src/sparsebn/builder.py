@@ -20,6 +20,10 @@ that is the build's only call counter. A size tried to the end counts
 C(pool, k) less the C(stale, k) subsets the cache skipped; a winner counts
 its lexicographic rank among the subsets not skipped, plus one.
 
+The search has one exit: when no subset that leaves a rest qualifies within
+``max_parents``, the first candidate gets the whole predecessor set, which
+needs no query. ``build`` warns when that set exceeds the bound.
+
 Without declared independencies the search calls the model's
 ``is_independent_mask`` directly. With them, ``build`` reads no dependence
 masks and puts one overlay in front of the model: a declared triple answers
@@ -30,8 +34,8 @@ report a contradiction.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
@@ -45,18 +49,6 @@ from .oracle import IndependenceModel
 # candidate -> {subset size: the existing mask at which it tried every subset
 # of that size}; reusable while existing and required masks only grow
 FailureCache = dict[int, dict[int, int]]
-
-
-class StratumNotFoundError(Exception):
-    """No qualifying parent set of size <= max_parents exists for a node."""
-
-    def __init__(self, candidate: int, max_parents: int, queries: int):
-        super().__init__(
-            f"no parent set of size <= {max_parents} for node {candidate}"
-        )
-        self.candidate = candidate
-        self.max_parents = max_parents
-        self.queries = queries  # asked before the bound ran out
 
 
 @dataclass(frozen=True)
@@ -89,17 +81,12 @@ class BuildResult:
     warnings: list[DeviationWarning]
     oracle_calls: int
     node_order: list[int]
-    _relaxed: bool = field(default=False, repr=False)
+    minimality_guaranteed: bool  # False when a bound or trust mode may add parents
 
     @property
     def strata(self) -> dict[int, NodeSet]:
         """Each node's parent set, in insertion order: the stratum it won with."""
         return {v: self.network.parents(v) for v in self.node_order}
-
-    @property
-    def minimality_guaranteed(self) -> bool:
-        """False when a bound or trust mode may have forced extra parents."""
-        return not self._relaxed
 
 
 def boundary_stratum(
@@ -118,14 +105,14 @@ def boundary_stratum(
 
     Every candidate tries size k, each subset holding its ``required`` mask,
     before any tries k+1; within a size subsets go in ascending lexicographic
-    order, so ties resolve to the first candidate in ``candidates``. The whole
-    existing set qualifies without a query (independence from nothing is
-    vacuous), and a subset that leaves a node of the candidate's
-    ``dependent`` mask in the rest fails without one, counted all the same.
-    Sizes beyond ``max_parents`` are not searched: if nothing qualified,
-    StratumNotFoundError carries the first candidate and the questions
-    counted. A ``cache`` reused across calls stays valid only while
-    ``existing`` and each candidate's ``required`` mask only grow.
+    order, so ties resolve to the first candidate in ``candidates``. A subset
+    that leaves a node of the candidate's ``dependent`` mask in the rest fails
+    without a query, counted all the same. Sizes run up to ``max_parents``
+    and stop short of the whole existing set; if nothing qualified, the first
+    candidate comes back with the whole set, which needs no query
+    (independence from nothing is vacuous), and the questions counted. A
+    ``cache`` reused across calls stays valid only while ``existing`` and
+    each candidate's ``required`` mask only grow.
     """
     races = []
     for c, req in zip(candidates, required):
@@ -134,7 +121,7 @@ def boundary_stratum(
         pool = [1 << v for v in bits(free & ~base)]
         done = cache.setdefault(c, {}) if cache is not None else {}
         races.append((c, 1 << c, req, base, free, pool, done))
-    limit = existing.bit_count()
+    limit = existing.bit_count() - 1  # sizes that leave a rest to screen off
     if max_parents is not None:
         limit = min(max_parents, limit)
     asked = 0
@@ -151,16 +138,13 @@ def boundary_stratum(
                 subset = base | sum(combo)
                 if stale is not None and not subset & ~stale:
                     continue
-                rest = existing ^ subset
-                if not rest:
-                    return c, subset, asked
-                if query(xbit, subset, rest):
+                if query(xbit, subset, existing ^ subset):
                     return c, subset, asked + _lex_rank(free, subset & free, stale) + 1
             asked += comb(free.bit_count(), k)
             if stale is not None:
                 asked -= comb((free & stale).bit_count(), k)
             done[size] = existing
-    raise StratumNotFoundError(candidates[0], max_parents, asked)
+    return candidates[0], existing, asked
 
 
 def _lex_rank(free: int, chosen: int, stale: int | None) -> int:
@@ -192,14 +176,15 @@ def select_winner(
     query: Callable[[int, int, int], bool],
     info: ExpertInfo,
     existing: int,
-    candidates: Iterable[int],
+    candidates: int,
     dependent: Sequence[int],
     cache: FailureCache | None,
     config: BuildConfig,
 ) -> tuple[int, int, int]:
-    """Pick the next node to add: race the top-priority candidates, in index
-    order, through ``boundary_stratum`` and return what it returns. With
-    ``trust_expert`` each candidate's placed declared causes are required."""
+    """Pick the next node to add: race the top-priority ``candidates`` (a
+    node mask), in index order, through ``boundary_stratum`` and return what
+    it returns, the whole-set fallback included. With ``trust_expert`` each
+    candidate's placed declared causes are required."""
     maximal = sorted(info.maximal_candidates(candidates))
     if config.trust_expert:
         required = [mask_of(info.declared_causes(c)) & existing for c in maximal]
@@ -270,17 +255,17 @@ def build(
     warnings: list[DeviationWarning] = []
 
     calls = 0
+    relaxed = config.trust_expert  # extra parents may break minimality
     existing = 0
-    remaining = set(range(len(universe)))
+    everyone = (1 << len(universe)) - 1
     node_order: list[int] = []
-    while remaining:
-        try:
-            winner, parents, asked = select_winner(
-                query, info, existing, remaining, dependent, cache, config
-            )
-        except StratumNotFoundError as err:
-            # the whole existing set always qualifies: nothing is left over
-            winner, parents, asked = err.candidate, existing, err.queries
+    while existing != everyone:
+        winner, parents, asked = select_winner(
+            query, info, existing, everyone ^ existing, dependent, cache, config
+        )
+        # a winning subset is within the bound; the whole set is the fallback
+        if config.max_parents is not None and parents.bit_count() > config.max_parents:
+            relaxed = True
             warnings.append(
                 DeviationWarning(
                     WarningKind.PARENT_BOUND_FALLBACK,
@@ -294,19 +279,17 @@ def build(
         calls += asked
         for parent in bits(parents):
             network.add_arc(parent, winner)
-        for cause in sorted(info.declared_causes(winner)):
-            if not parents >> cause & 1:
-                warnings.append(
-                    DeviationWarning(
-                        WarningKind.MISSING_DECLARED_CAUSE,
-                        winner,
-                        "declared cause {} of {} is not a parent in the built "
-                        "network".format(universe[cause], universe[winner]),
-                    )
+        for cause in bits(mask_of(info.declared_causes(winner)) & ~parents):
+            warnings.append(
+                DeviationWarning(
+                    WarningKind.MISSING_DECLARED_CAUSE,
+                    winner,
+                    "declared cause {} of {} is not a parent in the built "
+                    "network".format(universe[cause], universe[winner]),
                 )
+            )
         node_order.append(winner)
         existing |= 1 << winner
-        remaining.remove(winner)
 
     for x, z, y in conflicts:
         warnings.append(
@@ -319,15 +302,12 @@ def build(
             )
         )
 
-    relaxed = config.trust_expert or any(
-        w.kind is WarningKind.PARENT_BOUND_FALLBACK for w in warnings
-    )
     return BuildResult(
         network=network,
         warnings=warnings,
         oracle_calls=calls,
         node_order=node_order,
-        _relaxed=relaxed,
+        minimality_guaranteed=not relaxed,
     )
 
 

@@ -14,14 +14,13 @@ unusable input (parse errors, unknown names, infeasible specs).
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from collections.abc import Sequence
 
 from .builder import BuildConfig, BuildResult, build, is_imap, is_minimal_imap
-from .dag import Dag, DuplicateNodeError, CycleError, UnknownNodeError
-from .dsep import InvalidQueryError, d_separated
-from .expert import ContradictionError, ParseError, compile_statements, parse_statements
+from .dag import Dag
+from .dsep import d_separated
+from .expert import _NAME_RE, ContradictionError, compile_statements, parse_statements
 from .harness import (
     InfeasibleSpecError,
     RandomDagSpec,
@@ -35,8 +34,6 @@ from .oracle import DsepOracle
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_BAD_INPUT = 2
-
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 
 class ModelFileError(ValueError):
@@ -61,7 +58,7 @@ def parse_model_text(text: str, source: str = "<model>") -> Dag:
                 dag.add_arc(dag.index_of(tokens[1]), dag.index_of(tokens[2]))
             else:
                 raise ValueError(f"expected 'node <name>' or 'arc <parent> <child>'")
-        except (ValueError, DuplicateNodeError, UnknownNodeError, CycleError) as err:
+        except ValueError as err:  # the Dag's node, name and cycle errors included
             raise ModelFileError(str(err), source, line_no) from err
     return dag
 
@@ -247,15 +244,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BAD_INPUT
     try:
         return args.func(args)
-    except (
-        ModelFileError,
-        ParseError,
-        InfeasibleSpecError,
-        UnknownNodeError,
-        InvalidQueryError,
-        ValueError,
-        OSError,
-    ) as err:
+    except (ValueError, OSError) as err:  # every input error is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -147,11 +147,11 @@ class ExpertInfo:
             return Priority.LOWER
         return Priority.SAME
 
-    def maximal_candidates(self, candidates: Iterable[int]) -> NodeSet:
-        """Candidates no other candidate outranks; never empty: the first
-        non-empty tier (hypotheses, unlabelled, evidence) less its members'
-        descendants, as labels rank across tiers and ancestry within one."""
-        cands = mask_of(candidates)
+    def maximal_candidates(self, cands: int) -> NodeSet:
+        """Candidates, given as a node mask, that no other candidate outranks;
+        never empty: the first non-empty tier (hypotheses, unlabelled,
+        evidence) less its members' descendants, as labels rank across tiers
+        and ancestry within one."""
         if not cands:
             raise ValueError("candidates must be non-empty")
         hyp, evid = mask_of(self.hypothesis_set), mask_of(self.evidence_set)

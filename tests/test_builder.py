@@ -28,7 +28,6 @@ from sparsebn import (
     random_dag,
 )
 from sparsebn import builder
-from sparsebn.builder import StratumNotFoundError
 from sparsebn.dag import mask_of, nodes_of
 
 from conftest import (
@@ -55,15 +54,20 @@ def _check_result_invariants(result):
 # ---------------------------------------------------------- boundary search
 
 
-def boundary_stratum(model, existing, candidate, cache=None, config=None):
-    """The internal search for one candidate, over node lists: its stratum."""
+def search(model, existing, candidate, cache=None, config=None):
+    """The internal search for one candidate, over node lists: what it returns."""
     max_parents = (config or BuildConfig()).max_parents
     query = model.is_independent_mask
     dependent = [model.dependent_mask(v) for v in range(len(model.universe))]
-    _, parents, _ = builder.boundary_stratum(
+    winner, parents, asked = builder.boundary_stratum(
         query, mask_of(existing), [candidate], [0], dependent, max_parents, cache
     )
-    return nodes_of(parents)
+    return winner, nodes_of(parents), asked
+
+
+def boundary_stratum(model, existing, candidate, cache=None, config=None):
+    """The internal search for one candidate, over node lists: its stratum."""
+    return search(model, existing, candidate, cache, config)[1]
 
 
 def select_winner(model, info, existing, candidates):
@@ -71,7 +75,7 @@ def select_winner(model, info, existing, candidates):
     query, config = model.is_independent_mask, BuildConfig()
     dependent = [model.dependent_mask(v) for v in range(info.info_dag.node_count)]
     winner, parents, _ = builder.select_winner(
-        query, info, mask_of(existing), candidates, dependent, None, config
+        query, info, mask_of(existing), mask_of(candidates), dependent, None, config
     )
     return winner, nodes_of(parents)
 
@@ -88,18 +92,20 @@ def test_stratum_single_parent(fig_common_cause):
 
 
 def test_stratum_forced_full_set(fig_common_cause):
-    # adding the cause after both sensors requires the whole predecessor set
-    oracle = DsepOracle(fig_common_cause)
-    assert boundary_stratum(oracle, [1, 2], 0) == {1, 2}
+    # adding the cause after both sensors requires the whole predecessor set,
+    # which wins without a query: only the empty set and the singletons count
+    oracle = CountingOracle(fig_common_cause)
+    assert search(oracle, [1, 2], 0) == (0, {1, 2}, 3)
+    assert oracle.calls == 3
 
 
 def test_stratum_not_found_within_bound():
     collider = make_dag("A B C", [("A", "C"), ("B", "C")])
     oracle = DsepOracle(collider)
-    with pytest.raises(StratumNotFoundError) as raised:
-        boundary_stratum(oracle, [0, 1], 2, config=BuildConfig(max_parents=1))
-    # the empty set and both singletons were asked before the bound ran out
-    assert raised.value.queries == 3
+    bound = BuildConfig(max_parents=1)
+    # the empty set and both singletons were asked before the bound ran out;
+    # the whole set comes back, and the caller tells the fallback by its size
+    assert search(oracle, [0, 1], 2, config=bound) == (2, {0, 1}, 3)
 
 
 def test_stratum_skips_cached_failures(fig_common_cause):
@@ -405,6 +411,29 @@ def test_parent_bound_fallback_keeps_all_predecessors():
     assert arc_names(result.network) == {("A", "C"), ("B", "C")}
     assert not result.minimality_guaranteed
     _check_result_invariants(result)
+
+
+def test_trusted_causes_over_the_bound_fall_back_to_all_earlier_nodes():
+    # C's two declared causes cannot fit one parent, so no subset is tried and
+    # C keeps every earlier node, the unrelated D included
+    gt = make_dag("A B C D", [("A", "B"), ("B", "C")])
+    statements = [CauseOf("A", "C"), CauseOf("B", "C")]
+    result = _build(gt, statements, trust_expert=True, max_parents=1)
+    assert [(w.kind, w.node) for w in result.warnings] == [
+        (WarningKind.PARENT_BOUND_FALLBACK, 2)
+    ]
+    assert result.node_order[-1] == 2
+    assert result.strata[2] == {0, 1, 3}
+    assert not result.minimality_guaranteed
+    _check_result_invariants(result)
+
+
+def test_empty_universe_builds_nothing():
+    result = _build(Dag([]))
+    assert result.network.arc_count == 0
+    assert result.node_order == []
+    assert result.oracle_calls == 0
+    assert result.warnings == []
 
 
 def test_bound_wide_enough_changes_nothing():

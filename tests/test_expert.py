@@ -16,6 +16,7 @@ from sparsebn import (
     compile_statements,
     parse_statements,
 )
+from sparsebn.dag import mask_of
 
 UNIVERSE = ["A", "B", "C", "D"]
 
@@ -226,17 +227,17 @@ def test_priority_antisymmetry_on_random_infos():
 
 def test_maximal_candidates_prefers_hypothesis():
     info = _info([Hypothesis("A"), Evidence("B")])
-    assert info.maximal_candidates({0, 1, 2}) == {0}
+    assert info.maximal_candidates(mask_of({0, 1, 2})) == {0}
 
 
 def test_maximal_candidates_all_same():
     info = ExpertInfo.empty(UNIVERSE)
-    assert info.maximal_candidates({0, 1, 3}) == {0, 1, 3}
+    assert info.maximal_candidates(mask_of({0, 1, 3})) == {0, 1, 3}
 
 
 def test_maximal_candidates_ancestor_wins():
     info = _info([CauseOf("A", "B")])
-    assert info.maximal_candidates({0, 1}) == {0}
+    assert info.maximal_candidates(mask_of({0, 1})) == {0}
 
 
 def test_maximal_candidates_subset_and_nonempty():
@@ -252,7 +253,7 @@ def test_maximal_candidates_subset_and_nonempty():
         except ContradictionError:
             continue
         pool = rng.sample(range(6), rng.randint(1, 6))
-        winners = info.maximal_candidates(pool)
+        winners = info.maximal_candidates(mask_of(pool))
         assert winners
         assert winners <= set(pool)
 
@@ -267,9 +268,9 @@ def test_maximal_candidates_match_pairwise_definition():
                 for c in pool
                 if not any(info.priority_compare(d, c) is Priority.HIGHER for d in pool)
             }
-            assert info.maximal_candidates(pool) == pairwise
+            assert info.maximal_candidates(mask_of(pool)) == pairwise
 
 
 def test_maximal_candidates_rejects_empty():
     with pytest.raises(ValueError):
-        ExpertInfo.empty(UNIVERSE).maximal_candidates([])
+        ExpertInfo.empty(UNIVERSE).maximal_candidates(0)

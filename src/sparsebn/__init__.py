@@ -53,7 +53,7 @@ from .harness import (
     write_records_csv,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BuildConfig",

@@ -53,6 +53,11 @@ FailureCache = dict[int, dict[int, int]]
 
 @dataclass(frozen=True)
 class BuildConfig:
+    """Search options for ``build``; ``max_parents`` and ``trust_expert`` may
+    cost minimality. ``use_cache=False`` keeps the output, at more queries,
+    only for a model with decomposition (a failed I(c; S; R) stays failed as
+    R grows). Minimality, like ``is_imap``, needs a semi-graphoid model."""
+
     max_parents: int | None = None
     use_cache: bool = True
     trust_expert: bool = False
@@ -185,9 +190,9 @@ def select_winner(
     node mask), in index order, through ``boundary_stratum`` and return what
     it returns, the whole-set fallback included. With ``trust_expert`` each
     candidate's placed declared causes are required."""
-    maximal = sorted(info.maximal_candidates(candidates))
+    maximal = info.maximal_candidates(candidates)
     if config.trust_expert:
-        required = [mask_of(info.declared_causes(c)) & existing for c in maximal]
+        required = [info.declared_causes(c) & existing for c in maximal]
     else:
         required = [0] * len(maximal)
     max_parents = config.max_parents
@@ -279,7 +284,7 @@ def build(
         calls += asked
         for parent in bits(parents):
             network.add_arc(parent, winner)
-        for cause in bits(mask_of(info.declared_causes(winner)) & ~parents):
+        for cause in bits(info.declared_causes(winner) & ~parents):
             warnings.append(
                 DeviationWarning(
                     WarningKind.MISSING_DECLARED_CAUSE,

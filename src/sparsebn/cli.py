@@ -34,6 +34,7 @@ from .oracle import DsepOracle
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_BAD_INPUT = 2
+MAX_RANDOM_NODES = 2000  # for --random: random_dag is O(n²), ~150 MB at 2,000
 
 
 class ModelFileError(ValueError):
@@ -145,6 +146,10 @@ def _cmd_experiment(args) -> int:
             raise InfeasibleSpecError(
                 f"--random expects 'nodes,arcs,seed', got {args.random!r}"
             ) from None
+        if n > MAX_RANDOM_NODES:
+            raise InfeasibleSpecError(
+                f"--random allows at most {MAX_RANDOM_NODES} nodes, got {n}"
+            )
         ground_truth = random_dag(RandomDagSpec(n, arcs, seed=seed))
     else:
         ground_truth = load_model(args.model)

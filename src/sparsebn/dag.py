@@ -126,9 +126,6 @@ class Dag:
         self._parent_masks[child] |= 1 << parent
         self._mutations += 1
 
-    def has_node(self, name: str) -> bool:
-        return name in self._index
-
     def has_arc(self, parent: int, child: int) -> bool:
         self._check_index(parent)
         self._check_index(child)

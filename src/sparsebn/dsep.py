@@ -58,17 +58,6 @@ def d_separated_checked(dag: Dag, x: int, z: int, y: int) -> bool:
     parents = dag._parent_masks
     children = dag._child_masks
 
-    # a direct arc between the sets is a path with no interior nodes, so no
-    # conditioning set can block it; most search queries end here, before the
-    # closure below (or even a ``bits`` generator) is paid for
-    rest = x
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        if (parents[v] | children[v]) & y:
-            return False
-        rest ^= low
-
     # z plus everything with a descendant in z: exactly the nodes at which a
     # converging-arrows path node may transmit
     z_closure = 0

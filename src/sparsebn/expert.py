@@ -103,29 +103,29 @@ class ExpertInfo:
     """Compiled expert statements; immutable once built.
 
     ``info_dag`` holds one arc per cause relation over the full variable
-    universe; hypothesis and evidence sets are disjoint, hypotheses have no
-    parents and evidence nodes no children.
+    universe; the ``hypotheses`` and ``evidence`` node masks are disjoint,
+    hypotheses have no parents and evidence nodes no children.
     """
 
     def __init__(
         self,
         info_dag: Dag,
-        hypothesis_set: NodeSet,
-        evidence_set: NodeSet,
+        hypotheses: int,
+        evidence: int,
         declared_independencies: Sequence[tuple[NodeSet, NodeSet, NodeSet]] = (),
     ):
         self.info_dag = info_dag
-        self.hypothesis_set = frozenset(hypothesis_set)
-        self.evidence_set = frozenset(evidence_set)
+        self.hypotheses = hypotheses
+        self.evidence = evidence
         self.declared_independencies = list(declared_independencies)
 
     @classmethod
     def empty(cls, universe: Iterable[str]) -> ExpertInfo:
-        return cls(Dag(universe), frozenset(), frozenset())
+        return cls(Dag(universe), 0, 0)
 
-    def declared_causes(self, v: int) -> NodeSet:
-        """Nodes the expert declared as direct causes of v."""
-        return self.info_dag.parents(v)
+    def declared_causes(self, v: int) -> int:
+        """Mask of the nodes the expert declared as direct causes of v."""
+        return self.info_dag._parent_masks[v]
 
     def priority_compare(self, a: int, b: int) -> Priority:
         """Rank a against b: hypothesis rule, evidence rule, ancestry, else Same.
@@ -135,11 +135,11 @@ class ExpertInfo:
         """
         if a == b:
             return Priority.SAME
-        hyp, evid = self.hypothesis_set, self.evidence_set
-        if (a in hyp) != (b in hyp):
-            return Priority.HIGHER if a in hyp else Priority.LOWER
-        if (a in evid) != (b in evid):
-            return Priority.LOWER if a in evid else Priority.HIGHER
+        hyp, evid = self.hypotheses, self.evidence
+        if (hyp >> a & 1) != (hyp >> b & 1):
+            return Priority.HIGHER if hyp >> a & 1 else Priority.LOWER
+        if (evid >> a & 1) != (evid >> b & 1):
+            return Priority.LOWER if evid >> a & 1 else Priority.HIGHER
         closures = self.info_dag.ancestor_closures()
         if closures[b] >> a & 1:
             return Priority.HIGHER
@@ -147,17 +147,16 @@ class ExpertInfo:
             return Priority.LOWER
         return Priority.SAME
 
-    def maximal_candidates(self, cands: int) -> NodeSet:
-        """Candidates, given as a node mask, that no other candidate outranks;
-        never empty: the first non-empty tier (hypotheses, unlabelled,
-        evidence) less its members' descendants, as labels rank across tiers
-        and ancestry within one."""
+    def maximal_candidates(self, cands: int) -> list[int]:
+        """Candidates, given as a node mask, that no other candidate outranks,
+        ascending; never empty: the first non-empty tier (hypotheses,
+        unlabelled, evidence) less its members' descendants, as labels rank
+        across tiers and ancestry within one."""
         if not cands:
             raise ValueError("candidates must be non-empty")
-        hyp, evid = mask_of(self.hypothesis_set), mask_of(self.evidence_set)
-        tier = cands & hyp or cands & ~evid or cands
+        tier = cands & self.hypotheses or cands & ~self.evidence or cands
         closures = self.info_dag.ancestor_closures()
-        return frozenset(c for c in bits(tier) if closures[c] & tier == 1 << c)
+        return [c for c in bits(tier) if closures[c] & tier == 1 << c]
 
 
 def parse_statements(text: str, source: str = "<expert>") -> list[ExpertStatement]:
@@ -303,7 +302,7 @@ def compile_statements(
         raise ContradictionError(findings)
     return ExpertInfo(
         info_dag,
-        frozenset(index[n] for n in hypothesis_names),
-        frozenset(index[n] for n in evidence_names),
+        mask_of(index[n] for n in hypothesis_names),
+        mask_of(index[n] for n in evidence_names),
         declared,
     )

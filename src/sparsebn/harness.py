@@ -22,6 +22,8 @@ from .expert import CauseOf, Evidence, ExpertStatement, Hypothesis, compile_stat
 from .oracle import DsepOracle
 
 CSV_HEADER = "trial,expert_arcs,rebuilt_arcs,oracle_calls,exact_recovery,elapsed_ms"
+ARC_SLACK = 1.0
+CALL_SLACK_FRACTION = 0.05
 
 
 class InfeasibleSpecError(ValueError):
@@ -52,7 +54,8 @@ def random_dag(spec: RandomDagSpec) -> Dag:
     requested number of forward arcs is drawn without replacement.
 
     Deterministic for a given spec. Raises InfeasibleSpecError when the arc
-    count exceeds what the node count and in-degree cap allow.
+    count exceeds what the node count and in-degree cap allow. Time and
+    memory are O(n²) whatever the arc count: ~150 MB at 2,000 nodes.
     """
     n, m, cap = spec.node_count, spec.arc_count, spec.max_in_degree
     if n < 1:
@@ -202,17 +205,14 @@ class ExperimentSummary:
         return self.endpoint_recovery_ok and self.arc_trend_ok and self.call_trend_ok
 
 
-def summarize_experiment(
-    records: Sequence[ExperimentRecord],
-    arc_slack: float = 1.0,
-    call_slack_fraction: float = 0.05,
-) -> ExperimentSummary:
+def summarize_experiment(records: Sequence[ExperimentRecord]) -> ExperimentSummary:
     """Per-level averages and qualitative trend checks.
 
     The curves are averaged per expert-arc level. Both are expected to be
-    non-increasing as expert arcs grow: the arc curve within an absolute
-    slack, the call curve within a fraction of its largest level mean. The
-    full-information endpoint must recover the ground truth in every trial.
+    non-increasing as expert arcs grow: the arc curve within ``ARC_SLACK``
+    arcs, the call curve within ``CALL_SLACK_FRACTION`` of its largest level
+    mean. The full-information endpoint must recover the ground truth in
+    every trial.
     """
     if not records:
         raise ValueError("no records to summarize")
@@ -227,9 +227,9 @@ def summarize_experiment(
     mean_calls = {
         lvl: sum(r.oracle_calls for r in rs) / len(rs) for lvl, rs in by_level.items()
     }
-    call_slack = call_slack_fraction * max(mean_calls.values())
+    call_slack = CALL_SLACK_FRACTION * max(mean_calls.values())
     arc_trend_ok = all(
-        mean_arcs[hi] <= mean_arcs[lo] + arc_slack
+        mean_arcs[hi] <= mean_arcs[lo] + ARC_SLACK
         for lo, hi in zip(levels, levels[1:])
     )
     call_trend_ok = all(

@@ -113,7 +113,7 @@ def test_criterion_3_sensitivity_trends():
         records = sensitivity_experiment(ground_truth, deletions_per_step=1, trials=20, seed=11)
         assert len(records) == 20 * 37
 
-        summary = summarize_experiment(records, arc_slack=1.0, call_slack_fraction=0.05)
+        summary = summarize_experiment(records)
         assert summary.arc_trend_ok, summary.mean_rebuilt_arcs
         assert summary.call_trend_ok, summary.mean_oracle_calls
         assert summary.endpoint_recovery_ok

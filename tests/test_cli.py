@@ -3,7 +3,7 @@ import pytest
 import sparsebn.builder
 import sparsebn.cli
 from sparsebn import RandomDagSpec, random_dag
-from sparsebn.cli import main, model_text, parse_model_text
+from sparsebn.cli import MAX_RANDOM_NODES, main, model_text, parse_model_text
 
 from conftest import arc_names, make_dag, with_forward_arc
 
@@ -157,6 +157,19 @@ def test_experiment_command_random_spec(tmp_path, capsys):
 def test_experiment_command_infeasible_random_exits_2(tmp_path, capsys):
     out = str(tmp_path / "run.csv")
     assert main(["experiment", "--random", "4,7,1", "--out", out]) == 2
+
+
+def test_experiment_command_rejects_oversized_random(monkeypatch, tmp_path, capsys):
+    def refuse(spec):
+        raise AssertionError("random_dag called for an oversized spec")
+
+    monkeypatch.setattr("sparsebn.cli.random_dag", refuse)
+    out = str(tmp_path / "x.csv")
+    too_many = MAX_RANDOM_NODES + 1
+    assert main(["experiment", "--random", f"{too_many},10,0", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(MAX_RANDOM_NODES) in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_experiment_command_needs_exactly_one_source(tmp_path, model_path):

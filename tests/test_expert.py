@@ -81,8 +81,8 @@ def test_compile_labels_only():
     info = compile_statements(
         [Hypothesis("A"), Evidence("B"), Evidence("C")], UNIVERSE
     )
-    assert info.hypothesis_set == {0}
-    assert info.evidence_set == {1, 2}
+    assert info.hypotheses == mask_of({0})
+    assert info.evidence == mask_of({1, 2})
     assert info.info_dag.arc_count == 0
 
 
@@ -90,8 +90,8 @@ def test_causedby_normalizes_to_cause():
     via_cause = compile_statements([CauseOf("A", "B")], UNIVERSE)
     via_causedby = compile_statements([CausedBy("B", "A")], UNIVERSE)
     assert via_cause.info_dag == via_causedby.info_dag
-    assert via_cause.hypothesis_set == via_causedby.hypothesis_set
-    assert via_cause.evidence_set == via_causedby.evidence_set
+    assert via_cause.hypotheses == via_causedby.hypotheses
+    assert via_cause.evidence == via_causedby.evidence
 
 
 def test_cause_cycle_detected():
@@ -222,22 +222,28 @@ def test_priority_antisymmetry_on_random_infos():
                 assert (ab is Priority.SAME) == (ba is Priority.SAME)
 
 
+def test_declared_causes_match_info_dag_parents():
+    for info in _random_infos(random.Random(33)):
+        for v in range(6):
+            assert info.declared_causes(v) == mask_of(info.info_dag.parents(v))
+
+
 # ------------------------------------------------------- maximal candidates
 
 
 def test_maximal_candidates_prefers_hypothesis():
     info = _info([Hypothesis("A"), Evidence("B")])
-    assert info.maximal_candidates(mask_of({0, 1, 2})) == {0}
+    assert info.maximal_candidates(mask_of({0, 1, 2})) == [0]
 
 
 def test_maximal_candidates_all_same():
     info = ExpertInfo.empty(UNIVERSE)
-    assert info.maximal_candidates(mask_of({0, 1, 3})) == {0, 1, 3}
+    assert info.maximal_candidates(mask_of({0, 1, 3})) == [0, 1, 3]
 
 
 def test_maximal_candidates_ancestor_wins():
     info = _info([CauseOf("A", "B")])
-    assert info.maximal_candidates(mask_of({0, 1})) == {0}
+    assert info.maximal_candidates(mask_of({0, 1})) == [0]
 
 
 def test_maximal_candidates_subset_and_nonempty():
@@ -255,7 +261,8 @@ def test_maximal_candidates_subset_and_nonempty():
         pool = rng.sample(range(6), rng.randint(1, 6))
         winners = info.maximal_candidates(mask_of(pool))
         assert winners
-        assert winners <= set(pool)
+        assert winners == sorted(winners)
+        assert set(winners) <= set(pool)
 
 
 def test_maximal_candidates_match_pairwise_definition():
@@ -268,7 +275,7 @@ def test_maximal_candidates_match_pairwise_definition():
                 for c in pool
                 if not any(info.priority_compare(d, c) is Priority.HIGHER for d in pool)
             }
-            assert info.maximal_candidates(mask_of(pool)) == pairwise
+            assert info.maximal_candidates(mask_of(pool)) == sorted(pairwise)
 
 
 def test_maximal_candidates_rejects_empty():

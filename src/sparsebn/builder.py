@@ -24,6 +24,14 @@ The search has one exit: when no subset that leaves a rest qualifies within
 ``max_parents``, the first candidate gets the whole predecessor set, which
 needs no query. ``build`` warns when that set exceeds the bound.
 
+A build handed the ``_Replay`` of the last build over the same model,
+universe and config resumes it. A step's outcome depends only on the placed
+mask, the race (the maximal candidates and their required masks) and the
+failure cache, which the earlier steps fix; so while every step has matched
+the last build's, its recorded winner, parents and count stand. At the first
+step that differs, the cache rolls back through a journal of its writes to
+that step's start, and the search goes on from there.
+
 Without declared independencies the search calls the model's
 ``is_independent_mask`` directly. With them, ``build`` reads no dependence
 masks and puts one overlay in front of the model: a declared triple answers
@@ -49,6 +57,8 @@ from .oracle import IndependenceModel
 # candidate -> {subset size: the existing mask at which it tried every subset
 # of that size}; reusable while existing and required masks only grow
 FailureCache = dict[int, dict[int, int]]
+# per cache write, before it: the candidate's dict, the size and the old value
+Journal = list[tuple[dict[int, int], int, int | None]]
 
 
 @dataclass(frozen=True)
@@ -102,6 +112,7 @@ def boundary_stratum(
     dependent: Sequence[int],
     max_parents: int | None,
     cache: FailureCache | None,
+    journal: Journal | None = None,
 ) -> tuple[int, int, int]:
     """Race ``candidates`` in lockstep for the smallest subset of ``existing``
     that screens one of them off the rest; return the winner, that subset and
@@ -117,7 +128,8 @@ def boundary_stratum(
     candidate comes back with the whole set, which needs no query
     (independence from nothing is vacuous), and the questions counted. A
     ``cache`` reused across calls stays valid only while ``existing`` and
-    each candidate's ``required`` mask only grow.
+    each candidate's ``required`` mask only grow; a ``journal`` records each
+    cache write before it is made.
     """
     races = []
     for c, req in zip(candidates, required):
@@ -148,6 +160,8 @@ def boundary_stratum(
             asked += comb(free.bit_count(), k)
             if stale is not None:
                 asked -= comb((free & stale).bit_count(), k)
+            if journal is not None:
+                journal.append((done, size, done.get(size)))
             done[size] = existing
     return candidates[0], existing, asked
 
@@ -179,26 +193,85 @@ def _lex_rank(free: int, chosen: int, stale: int | None) -> int:
 
 def select_winner(
     query: Callable[[int, int, int], bool],
-    info: ExpertInfo,
     existing: int,
-    candidates: int,
+    maximal: list[int],
+    required: list[int],
     dependent: Sequence[int],
     cache: FailureCache | None,
     config: BuildConfig,
+    journal: Journal | None = None,
 ) -> tuple[int, int, int]:
-    """Pick the next node to add: race the top-priority ``candidates`` (a
-    node mask), in index order, through ``boundary_stratum`` and return what
-    it returns, the whole-set fallback included. With ``trust_expert`` each
-    candidate's placed declared causes are required."""
+    """Pick the next node to add: race the ``maximal`` candidates, with their
+    ``required`` masks (both from ``_race``), through ``boundary_stratum``
+    under the config's parent bound, and return what it returns, the
+    whole-set fallback included."""
+    return boundary_stratum(
+        query, existing, maximal, required, dependent, config.max_parents, cache, journal
+    )
+
+
+def _race(
+    info: ExpertInfo, existing: int, candidates: int, config: BuildConfig
+) -> tuple[list[int], list[int]]:
+    """The top-priority ``candidates`` (a node mask), in index order, and a
+    required mask for each: with ``trust_expert`` its placed declared causes."""
     maximal = info.maximal_candidates(candidates)
     if config.trust_expert:
-        required = [info.declared_causes(c) & existing for c in maximal]
-    else:
-        required = [0] * len(maximal)
-    max_parents = config.max_parents
-    return boundary_stratum(
-        query, existing, maximal, required, dependent, max_parents, cache
-    )
+        return maximal, [info.declared_causes(c) & existing for c in maximal]
+    return maximal, [0] * len(maximal)
+
+
+class _Replay:
+    """The steps and failure cache of the last build over one model object,
+    universe and config, kept for the next such build to resume.
+
+    A step is its race, ``(maximal, required)``, then the winner, parents and
+    questions counted, and the journal's length at the step's end. The
+    journal holds every cache write of the steps kept, in order, so that the
+    cache can roll back to the start of any of them.
+    """
+
+    def __init__(self):
+        self.model: IndependenceModel | None = None
+        self.universe: list[str] = []
+        self.config: BuildConfig | None = None
+        self.steps: list[tuple[list[int], list[int], int, int, int, int]] = []
+        self.cache: FailureCache = {}
+        self.journal: Journal = []
+
+    def bind(self, model, universe: list[str], config: BuildConfig, declared) -> bool:
+        """Whether a build may resume or record here; on another model object,
+        universe or config, or where it may not, start over empty."""
+        usable = config.use_cache and not declared
+        same = self.model is model and (self.universe, self.config) == (universe, config)
+        if not (usable and same):
+            self.steps, self.cache, self.journal = [], {}, []
+            self.model = model if usable else None
+            self.universe, self.config = universe, config
+        return usable
+
+    def resume(
+        self, step: int, maximal: list[int], required: list[int]
+    ) -> tuple[int, int, int] | None:
+        """The recorded (winner, parents, asked) of ``step`` when its race
+        matches; else drop it and the steps after it, roll the cache back to
+        its start and return None."""
+        if step < len(self.steps):
+            raced, needed, winner, parents, asked, _ = self.steps[step]
+            if raced == maximal and needed == required:
+                return winner, parents, asked
+            del self.steps[step:]
+        mark = self.steps[-1][5] if self.steps else 0
+        for done, size, previous in reversed(self.journal[mark:]):
+            if previous is None:
+                del done[size]
+            else:
+                done[size] = previous
+        del self.journal[mark:]
+        return None
+
+    def record(self, maximal: list[int], required: list[int], won) -> None:
+        self.steps.append((maximal, required, *won, len(self.journal)))
 
 
 def _overlay(
@@ -225,6 +298,8 @@ def build(
     universe: Sequence[str],
     info: ExpertInfo | None = None,
     config: BuildConfig | None = None,
+    *,
+    _replay: _Replay | None = None,
 ) -> BuildResult:
     """Build a network over ``universe`` that is a minimal I-map of ``model``.
 
@@ -255,7 +330,11 @@ def build(
         0 if declared else model.dependent_mask(v) for v in range(len(universe))
     ]
 
-    cache: FailureCache | None = {} if config.use_cache else None
+    if _replay is not None and _replay.bind(model, universe, config, declared):
+        cache, journal = _replay.cache, _replay.journal
+    else:
+        _replay, journal = None, None
+        cache = {} if config.use_cache else None
     network = Dag(universe)
     warnings: list[DeviationWarning] = []
 
@@ -265,9 +344,17 @@ def build(
     everyone = (1 << len(universe)) - 1
     node_order: list[int] = []
     while existing != everyone:
-        winner, parents, asked = select_winner(
-            query, info, existing, everyone ^ existing, dependent, cache, config
-        )
+        maximal, required = _race(info, existing, everyone ^ existing, config)
+        won = None
+        if _replay is not None:
+            won = _replay.resume(len(node_order), maximal, required)
+        if won is None:
+            won = select_winner(
+                query, existing, maximal, required, dependent, cache, config, journal
+            )
+            if _replay is not None:
+                _replay.record(maximal, required, won)
+        winner, parents, asked = won
         # a winning subset is within the bound; the whole set is the fallback
         if config.max_parents is not None and parents.bit_count() > config.max_parents:
             relaxed = True

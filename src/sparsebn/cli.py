@@ -66,11 +66,9 @@ def parse_model_text(text: str, source: str = "<model>") -> Dag:
 
 def model_text(dag: Dag) -> str:
     """Model-file form of a Dag; parses back to an equal Dag."""
-    lines = [f"node {name}" for name in dag.names()]
-    lines += [
-        f"arc {dag.name_of(parent)} {dag.name_of(child)}"
-        for parent, child in dag.arcs()
-    ]
+    names = dag.names()
+    lines = [f"node {name}" for name in names]
+    lines += [f"arc {names[parent]} {names[child]}" for parent, child in dag.arcs()]
     return "\n".join(lines) + "\n"
 
 

@@ -69,14 +69,17 @@ class Dag:
     )
 
     def __init__(self, names: Iterable[str] = ()):
-        self._names: list[str] = []
-        self._index: dict[str, int] = {}
-        self._parent_masks: list[int] = []
-        self._child_masks: list[int] = []
-        self._mutations = 0
+        self._names: list[str] = list(names)
+        self._index: dict[str, int] = {name: v for v, name in enumerate(self._names)}
+        n = len(self._names)
+        self._parent_masks: list[int] = [0] * n
+        self._child_masks: list[int] = [0] * n
+        self._mutations = n  # one per node registered
         self._closures: tuple[int, list[int]] | None = None
-        for name in names:
-            self.add_node(name)
+        if len(self._index) != n or not all(self._names):
+            scratch = Dag()
+            for name in self._names:
+                scratch.add_node(name)  # raises add_node's error for the first bad name
 
     @property
     def node_count(self) -> int:
@@ -122,6 +125,13 @@ class Dag:
                 ),
                 cycle,
             )
+        self._child_masks[parent] |= 1 << child
+        self._parent_masks[child] |= 1 << parent
+        self._mutations += 1
+
+    def _link(self, parent: int, child: int) -> None:
+        """``add_arc`` unchecked, for a caller that knows the arc is new and
+        closes no cycle."""
         self._child_masks[parent] |= 1 << child
         self._parent_masks[child] |= 1 << parent
         self._mutations += 1

@@ -16,7 +16,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TextIO
 
-from .builder import BuildConfig, build, is_imap
+from .builder import BuildConfig, _Replay, build, is_imap
 from .dag import Dag
 from .expert import CauseOf, Evidence, ExpertStatement, Hypothesis, compile_statements
 from .oracle import DsepOracle
@@ -89,7 +89,7 @@ def random_dag(spec: RandomDagSpec) -> Dag:
             break
         if cap is not None and in_degree[child] >= cap:
             continue
-        dag.add_arc(parent, child)
+        dag._link(parent, child)  # forward in ``order``, so it closes no cycle
         in_degree[child] += 1
         placed += 1
     assert placed == m
@@ -100,15 +100,11 @@ def full_expert_info(dag: Dag) -> list[ExpertStatement]:
     """Statements describing the whole DAG: labels for every root and leaf
     plus one cause statement per arc. A node that is both root and leaf is
     labelled hypothesis only, keeping the label sets disjoint."""
-    roots = dag.roots()
-    statements: list[ExpertStatement] = [Hypothesis(dag.name_of(v)) for v in roots]
-    statements += [
-        Evidence(dag.name_of(v)) for v in dag.leaves() if v not in set(roots)
-    ]
-    statements += [
-        CauseOf(dag.name_of(parent), dag.name_of(child))
-        for parent, child in dag.arcs()
-    ]
+    names, roots = dag.names(), dag.roots()
+    statements: list[ExpertStatement] = [Hypothesis(names[v]) for v in roots]
+    hypotheses = set(roots)
+    statements += [Evidence(names[v]) for v in dag.leaves() if v not in hypotheses]
+    statements += [CauseOf(names[parent], names[child]) for parent, child in dag.arcs()]
     return statements
 
 
@@ -128,8 +124,10 @@ def sensitivity_experiment(
     come back ordered by (trial, step) and compare equal across replays
     (elapsed_ms is informational and excluded from equality).
 
-    ``verify_imaps`` re-checks every rebuilt network against the oracle with
-    ``is_imap``.
+    Every rebuild of a trial resumes the one before it: the steps up to the
+    first whose race differs are replayed, not searched, and the results,
+    counts included, equal fresh builds. ``verify_imaps`` re-checks every
+    rebuilt network against the oracle with ``is_imap``.
     """
     if deletions_per_step < 1:
         raise ValueError("deletions_per_step must be >= 1")
@@ -139,18 +137,19 @@ def sensitivity_experiment(
     true_arcs = set(ground_truth.arcs())
     master = random.Random(seed)
     trial_seeds = [master.randrange(2**32) for _ in range(trials)]
+    oracle = DsepOracle(ground_truth)
 
     records: list[ExperimentRecord] = []
     for trial, trial_seed in enumerate(trial_seeds):
         rng = random.Random(trial_seed)
+        replay = _Replay()
         statements = full_expert_info(ground_truth)
         labels = [s for s in statements if not isinstance(s, CauseOf)]
         causes = [s for s in statements if isinstance(s, CauseOf)]
         while True:
             info = compile_statements(labels + causes, universe)
-            oracle = DsepOracle(ground_truth)
             started = time.perf_counter()
-            result = build(oracle, universe, info, config)
+            result = build(oracle, universe, info, config, _replay=replay)
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             if verify_imaps and not is_imap(result.network, oracle):
                 raise RuntimeError(

@@ -39,6 +39,7 @@ from conftest import (
     make_dag,
     result_bytes,
 )
+from reference import CONFIGS, reference_build
 
 
 def _check_result_invariants(result):
@@ -74,8 +75,10 @@ def select_winner(model, info, existing, candidates):
     """The internal winner selection, over node lists: winner and stratum."""
     query, config = model.is_independent_mask, BuildConfig()
     dependent = [model.dependent_mask(v) for v in range(info.info_dag.node_count)]
+    existing = mask_of(existing)
+    maximal, required = builder._race(info, existing, mask_of(candidates), config)
     winner, parents, _ = builder.select_winner(
-        query, info, mask_of(existing), mask_of(candidates), dependent, None, config
+        query, existing, maximal, required, dependent, None, config
     )
     return winner, nodes_of(parents)
 
@@ -564,6 +567,125 @@ def test_minimal_imap_property_module_scale():
         result = _build(gt, statements)
         _check_result_invariants(result)
         assert is_minimal_imap(result.network, DsepOracle(gt)), (case, gt.arcs())
+
+
+def _outcome(result):
+    return result_bytes(result), result.oracle_calls, result.minimality_guaranteed
+
+
+def test_build_matches_the_reference_build():
+    # 300 small truths, each with a random share of its full statements and
+    # every third with a random declared triple, under six configs
+    rng = random.Random(13)
+    kinds = Counter()
+    for case in range(300):
+        n = rng.randint(4, 7)
+        arcs = rng.randint(0, min(n * (n - 1) // 2, 2 * n))
+        truth = random_dag(RandomDagSpec(n, arcs, seed=case))
+        statements = [s for s in full_expert_info(truth) if rng.random() < 0.6]
+        if case % 3 == 0:
+            a, b, *others = rng.sample(truth.names(), n)
+            statements.append(
+                Independence((a,), tuple(o for o in others if rng.random() < 0.5), (b,))
+            )
+        info = compile_statements(statements, truth.names())
+        oracle = DsepOracle(truth)
+        for config in CONFIGS:
+            want = reference_build(oracle, truth.names(), info, config)
+            got = build(oracle, truth.names(), info, config)
+            assert _outcome(got) == _outcome(want), (case, config)
+            kinds.update({w.kind for w in want.warnings})
+    assert set(kinds) == set(WarningKind)  # every warning kind was compared
+
+
+class _Unnamed(IndependenceModel):
+    """d-separation in a ground truth, with no universe of its own."""
+
+    def __init__(self, ground_truth):
+        self._oracle = DsepOracle(ground_truth)
+
+    def is_independent(self, x, z, y):
+        return self._oracle.is_independent(x, z, y)
+
+
+def test_a_replay_resumes_only_the_same_model_universe_and_config(monkeypatch):
+    searched = 0
+
+    def counted(*args, _real=builder.select_winner):
+        nonlocal searched
+        searched += 1
+        return _real(*args)
+
+    monkeypatch.setattr(builder, "select_winner", counted)
+    truth = random_dag(RandomDagSpec(8, 12, seed=4))
+    names = truth.names()
+    renamed = [name.lower() for name in names]
+    full = compile_statements(full_expert_info(truth), names)
+    declared = compile_statements(
+        full_expert_info(truth) + [Independence(("N0",), (), ("N1",))], names
+    )
+    oracle, other, unnamed = DsepOracle(truth), DsepOracle(truth), _Unnamed(truth)
+    replay = builder._Replay()
+
+    def steps_searched(model, info=full, config=None, universe=names):
+        nonlocal searched
+        searched = 0
+        result = build(model, universe, info, config, _replay=replay)
+        steps = searched
+        assert _outcome(result) == _outcome(build(model, universe, info, config))
+        return steps
+
+    n = truth.node_count
+    assert steps_searched(oracle) == n  # nothing to resume yet
+    assert steps_searched(oracle) == 0  # every step replays
+    assert steps_searched(other) == n  # another model object
+    assert steps_searched(other) == 0
+    assert steps_searched(other, config=BuildConfig(max_parents=2)) == n
+    assert steps_searched(other, config=BuildConfig(max_parents=2)) == 0
+    assert steps_searched(unnamed) == n
+    assert steps_searched(unnamed) == 0
+    renamed_truth = make_dag(renamed, [(renamed[p], renamed[c]) for p, c in truth.arcs()])
+    renamed_info = compile_statements(full_expert_info(renamed_truth), renamed)
+    assert steps_searched(unnamed, info=renamed_info, universe=renamed) == n
+    assert steps_searched(unnamed, info=renamed_info, universe=renamed) == 0
+    # neither resumes nor records: declared triples, or no failure cache
+    assert steps_searched(oracle) == n
+    assert steps_searched(oracle, info=declared) == n
+    assert steps_searched(oracle, info=declared) == n
+    assert steps_searched(oracle) == n
+    assert steps_searched(oracle, config=BuildConfig(use_cache=False)) == n
+    assert steps_searched(oracle, config=BuildConfig(use_cache=False)) == n
+    assert steps_searched(oracle) == n
+
+
+class _Failing(CountingOracle):
+    """A CountingOracle that raises once it has answered ``limit`` questions."""
+
+    limit = None
+
+    def is_independent_mask(self, x, z, y):
+        if self.calls == self.limit:
+            raise RuntimeError("model failed")
+        return super().is_independent_mask(x, z, y)
+
+
+def test_a_replay_survives_a_build_that_raised():
+    # an aborted step leaves cache writes past the last recorded step; the
+    # next build rolls them back before it searches that step
+    truth = random_dag(RandomDagSpec(9, 14, seed=8))
+    names = truth.names()
+    statements = full_expert_info(truth)
+    labels = [s for s in statements if not isinstance(s, CauseOf)]
+    info = compile_statements(labels, names)
+    fresh = build(DsepOracle(truth), names, info)
+    for limit in (5, 40, 100):
+        model, replay = _Failing(truth), builder._Replay()
+        build(model, names, compile_statements(statements, names), _replay=replay)
+        model.calls, model.limit = 0, limit
+        with pytest.raises(RuntimeError):
+            build(model, names, info, _replay=replay)
+        model.limit = None
+        assert _outcome(build(model, names, info, _replay=replay)) == _outcome(fresh)
 
 
 # ------------------------------------------------------------- map checkers

@@ -27,6 +27,21 @@ def test_empty_name_rejected():
         Dag([""])
 
 
+def test_constructor_registers_like_add_node():
+    one_by_one = Dag()
+    for name in ("B", "A", "C"):
+        one_by_one.add_node(name)
+    dag = Dag(["B", "A", "C"])
+    assert dag == one_by_one
+    assert [dag.index_of(name) for name in "ABC"] == [1, 0, 2]
+    assert dag._mutations == one_by_one._mutations
+    # the first bad name raises, as add_node would
+    with pytest.raises(DuplicateNodeError, match="'A'"):
+        Dag(["A", "B", "A", ""])
+    with pytest.raises(ValueError, match="non-empty"):
+        Dag(["A", "", "A"])
+
+
 def test_unknown_lookups():
     dag = Dag(["A"])
     with pytest.raises(UnknownNodeError):

@@ -4,19 +4,23 @@ import pytest
 
 from sparsebn import (
     CauseOf,
+    DsepOracle,
     Evidence,
     ExperimentRecord,
     Hypothesis,
     InfeasibleSpecError,
     RandomDagSpec,
+    build,
     full_expert_info,
     random_dag,
     sensitivity_experiment,
     summarize_experiment,
     write_records_csv,
 )
+from sparsebn import builder, harness
 
-from conftest import make_dag
+from conftest import make_dag, result_bytes
+from reference import CONFIGS, reference_build
 
 
 # ----------------------------------------------------------- random models
@@ -130,6 +134,40 @@ def test_experiment_networks_are_imaps_at_paper_scale():
     gt = random_dag(RandomDagSpec(26, 36, seed=7))  # criterion 3's ground truth
     records = sensitivity_experiment(gt, trials=2, seed=11, verify_imaps=True)
     assert len(records) == 2 * 37
+
+
+def test_resumed_rebuilds_match_fresh_and_reference_builds(monkeypatch):
+    # every rebuild the study makes, most of them resumed from the rebuild
+    # before, equals a fresh build and the reference build
+    captured = []
+    searched = 0
+
+    def capturing_build(model, universe, info, config, **kwargs):
+        result = build(model, universe, info, config, **kwargs)
+        captured.append((model, universe, info, config, result))
+        return result
+
+    def counted(*args, _real=builder.select_winner):
+        nonlocal searched
+        searched += 1
+        return _real(*args)
+
+    monkeypatch.setattr(harness, "build", capturing_build)
+    monkeypatch.setattr(builder, "select_winner", counted)
+    for n, arcs, seed in ((5, 6, 1), (6, 8, 2), (7, 10, 3), (8, 12, 4), (8, 9, 5)):
+        truth = random_dag(RandomDagSpec(n, arcs, seed=seed))
+        for config in CONFIGS:
+            for deletions in (1, 2):
+                sensitivity_experiment(truth, deletions, trials=2, seed=seed, config=config)
+    # most steps are resumed, not searched
+    assert searched < sum(len(universe) for _, universe, *_ in captured) / 2
+    for model, universe, info, config, result in captured:
+        fresh = build(DsepOracle(model.ground_truth), universe, info, config)
+        want = reference_build(model, universe, info, config)
+        for other in (fresh, want):
+            assert result_bytes(result) == result_bytes(other), config
+            assert result.oracle_calls == other.oracle_calls, config
+            assert result.minimality_guaranteed == other.minimality_guaranteed
 
 
 def test_experiment_validates_arguments(fig_common_cause):

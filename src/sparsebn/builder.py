@@ -201,24 +201,14 @@ def select_winner(
     config: BuildConfig,
     journal: Journal | None = None,
 ) -> tuple[int, int, int]:
-    """Pick the next node to add: race the ``maximal`` candidates, with their
-    ``required`` masks (both from ``_race``), through ``boundary_stratum``
-    under the config's parent bound, and return what it returns, the
-    whole-set fallback included."""
+    """Pick the next node to add: race the top-priority candidates
+    ``maximal``, in index order, through ``boundary_stratum`` under the
+    config's parent bound, and return what it returns, the whole-set fallback
+    included. With ``trust_expert`` each candidate's ``required`` mask holds
+    its placed declared causes; otherwise it is 0."""
     return boundary_stratum(
         query, existing, maximal, required, dependent, config.max_parents, cache, journal
     )
-
-
-def _race(
-    info: ExpertInfo, existing: int, candidates: int, config: BuildConfig
-) -> tuple[list[int], list[int]]:
-    """The top-priority ``candidates`` (a node mask), in index order, and a
-    required mask for each: with ``trust_expert`` its placed declared causes."""
-    maximal = info.maximal_candidates(candidates)
-    if config.trust_expert:
-        return maximal, [info.declared_causes(c) & existing for c in maximal]
-    return maximal, [0] * len(maximal)
 
 
 class _Replay:
@@ -344,7 +334,11 @@ def build(
     everyone = (1 << len(universe)) - 1
     node_order: list[int] = []
     while existing != everyone:
-        maximal, required = _race(info, existing, everyone ^ existing, config)
+        maximal = info.maximal_candidates(everyone ^ existing)
+        if config.trust_expert:
+            required = [info.declared_causes(c) & existing for c in maximal]
+        else:
+            required = [0] * len(maximal)
         won = None
         if _replay is not None:
             won = _replay.resume(len(node_order), maximal, required)

@@ -76,7 +76,8 @@ def select_winner(model, info, existing, candidates):
     query, config = model.is_independent_mask, BuildConfig()
     dependent = [model.dependent_mask(v) for v in range(info.info_dag.node_count)]
     existing = mask_of(existing)
-    maximal, required = builder._race(info, existing, mask_of(candidates), config)
+    maximal = info.maximal_candidates(mask_of(candidates))
+    required = [0] * len(maximal)
     winner, parents, _ = builder.select_winner(
         query, existing, maximal, required, dependent, None, config
     )

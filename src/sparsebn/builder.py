@@ -24,13 +24,15 @@ The search has one exit: when no subset that leaves a rest qualifies within
 ``max_parents``, the first candidate gets the whole predecessor set, which
 needs no query. ``build`` warns when that set exceeds the bound.
 
-A build handed the ``_Replay`` of the last build over the same model,
-universe and config resumes it. A step's outcome depends only on the placed
-mask, the race (the maximal candidates and their required masks) and the
-failure cache, which the earlier steps fix; so while every step has matched
-the last build's, its recorded winner, parents and count stand. At the first
-step that differs, the cache rolls back through a journal of its writes to
-that step's start, and the search goes on from there.
+A build handed a ``_Replay`` shares its steps with every earlier build over
+the same model, universe and config that was handed it. A step's winner,
+parents, counted questions and cache writes depend only on the race (the
+maximal candidates and their required masks) and on the steps before it:
+those fix the placed mask, and the failure cache is their writes, each the
+placed mask of its step. So the replay keeps one table of steps, keyed by
+the step each follows and its race. A build follows the table from the root,
+redoing each step's cache writes, and searches from the first race not in it,
+recording each step it searches.
 
 Without declared independencies the search calls the model's
 ``is_independent_mask`` directly. With them, ``build`` reads no dependence
@@ -55,10 +57,8 @@ from .expert import ExpertInfo
 from .oracle import IndependenceModel
 
 # candidate -> {subset size: the existing mask at which it tried every subset
-# of that size}; reusable while existing and required masks only grow
+# of that size}; reusable while existing grows and each required mask stays fixed
 FailureCache = dict[int, dict[int, int]]
-# per cache write, before it: the candidate's dict, the size and the old value
-Journal = list[tuple[dict[int, int], int, int | None]]
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def boundary_stratum(
     dependent: Sequence[int],
     max_parents: int | None,
     cache: FailureCache | None,
-    journal: Journal | None = None,
+    journal: list[int] | None = None,
 ) -> tuple[int, int, int]:
     """Race ``candidates`` in lockstep for the smallest subset of ``existing``
     that screens one of them off the rest; return the winner, that subset and
@@ -127,9 +127,9 @@ def boundary_stratum(
     and stop short of the whole existing set; if nothing qualified, the first
     candidate comes back with the whole set, which needs no query
     (independence from nothing is vacuous), and the questions counted. A
-    ``cache`` reused across calls stays valid only while ``existing`` and
-    each candidate's ``required`` mask only grow; a ``journal`` records each
-    cache write before it is made.
+    ``cache`` reused across calls stays valid only while ``existing`` grows
+    and each candidate's ``required`` mask stays fixed; a ``journal`` gets
+    the candidate and size of each cache write, two ints per write.
     """
     races = []
     for c, req in zip(candidates, required):
@@ -148,8 +148,6 @@ def boundary_stratum(
             if k < 0:
                 continue
             stale = done.get(size)
-            if stale is not None and req & ~stale:
-                stale = None  # every subset holds a required node placed since
             extra = size - base.bit_count()
             for combo in itertools.combinations(pool, extra) if extra >= 0 else ():
                 subset = base | sum(combo)
@@ -161,7 +159,7 @@ def boundary_stratum(
             if stale is not None:
                 asked -= comb((free & stale).bit_count(), k)
             if journal is not None:
-                journal.append((done, size, done.get(size)))
+                journal.extend((c, size))
             done[size] = existing
     return candidates[0], existing, asked
 
@@ -199,7 +197,7 @@ def select_winner(
     dependent: Sequence[int],
     cache: FailureCache | None,
     config: BuildConfig,
-    journal: Journal | None = None,
+    journal: list[int] | None = None,
 ) -> tuple[int, int, int]:
     """Pick the next node to add: race the top-priority candidates
     ``maximal``, in index order, through ``boundary_stratum`` under the
@@ -212,56 +210,32 @@ def select_winner(
 
 
 class _Replay:
-    """The steps and failure cache of the last build over one model object,
-    universe and config, kept for the next such build to resume.
+    """The steps of the builds over one model object, universe and config,
+    kept for later such builds to follow.
 
-    A step is its race, ``(maximal, required)``, then the winner, parents and
-    questions counted, and the journal's length at the step's end. The
-    journal holds every cache write of the steps kept, in order, so that the
-    cache can roll back to the start of any of them.
+    ``steps`` maps ``(at, *maximal)``, or ``(at, *maximal, *required)`` with
+    ``trust_expert``, to ``(winner, parents, asked, writes, id)``: ``at`` is
+    the id of the step before, -1 at the root; ``writes`` the flat candidate
+    and size of each cache write, each storing the step's placed mask; ``id``
+    the table's size when the step was recorded.
     """
 
     def __init__(self):
         self.model: IndependenceModel | None = None
         self.universe: list[str] = []
         self.config: BuildConfig | None = None
-        self.steps: list[tuple[list[int], list[int], int, int, int, int]] = []
-        self.cache: FailureCache = {}
-        self.journal: Journal = []
+        self.steps: dict[tuple[int, ...], tuple[int, int, int, tuple[int, ...], int]] = {}
 
     def bind(self, model, universe: list[str], config: BuildConfig, declared) -> bool:
-        """Whether a build may resume or record here; on another model object,
-        universe or config, or where it may not, start over empty."""
+        """Whether a build may follow and record steps here; on another model
+        object, universe or config, or where it may not, start over empty."""
         usable = config.use_cache and not declared
         same = self.model is model and (self.universe, self.config) == (universe, config)
         if not (usable and same):
-            self.steps, self.cache, self.journal = [], {}, []
+            self.steps = {}
             self.model = model if usable else None
             self.universe, self.config = universe, config
         return usable
-
-    def resume(
-        self, step: int, maximal: list[int], required: list[int]
-    ) -> tuple[int, int, int] | None:
-        """The recorded (winner, parents, asked) of ``step`` when its race
-        matches; else drop it and the steps after it, roll the cache back to
-        its start and return None."""
-        if step < len(self.steps):
-            raced, needed, winner, parents, asked, _ = self.steps[step]
-            if raced == maximal and needed == required:
-                return winner, parents, asked
-            del self.steps[step:]
-        mark = self.steps[-1][5] if self.steps else 0
-        for done, size, previous in reversed(self.journal[mark:]):
-            if previous is None:
-                del done[size]
-            else:
-                done[size] = previous
-        del self.journal[mark:]
-        return None
-
-    def record(self, maximal: list[int], required: list[int], won) -> None:
-        self.steps.append((maximal, required, *won, len(self.journal)))
 
 
 def _overlay(
@@ -320,11 +294,10 @@ def build(
         0 if declared else model.dependent_mask(v) for v in range(len(universe))
     ]
 
+    steps, at = None, -1  # at: the id of the last step followed or recorded
     if _replay is not None and _replay.bind(model, universe, config, declared):
-        cache, journal = _replay.cache, _replay.journal
-    else:
-        _replay, journal = None, None
-        cache = {} if config.use_cache else None
+        steps = _replay.steps
+    cache = {} if config.use_cache else None
     network = Dag(universe)
     warnings: list[DeviationWarning] = []
 
@@ -339,16 +312,22 @@ def build(
             required = [info.declared_causes(c) & existing for c in maximal]
         else:
             required = [0] * len(maximal)
-        won = None
-        if _replay is not None:
-            won = _replay.resume(len(node_order), maximal, required)
-        if won is None:
-            won = select_winner(
+        step = None
+        if steps is not None:
+            key = (at, *maximal, *required) if config.trust_expert else (at, *maximal)
+            step = steps.get(key)
+        if step is None:
+            journal = None if steps is None else []
+            winner, parents, asked = select_winner(
                 query, existing, maximal, required, dependent, cache, config, journal
             )
-            if _replay is not None:
-                _replay.record(maximal, required, won)
-        winner, parents, asked = won
+            if journal is not None:
+                at = len(steps)
+                steps[key] = (winner, parents, asked, tuple(journal), at)
+        else:
+            winner, parents, asked, writes, at = step
+            for c, size in zip(writes[::2], writes[1::2]):
+                cache.setdefault(c, {})[size] = existing
         # a winning subset is within the bound; the whole set is the fallback
         if config.max_parents is not None and parents.bit_count() > config.max_parents:
             relaxed = True
@@ -363,8 +342,7 @@ def build(
                 )
             )
         calls += asked
-        for parent in bits(parents):
-            network.add_arc(parent, winner)
+        network._adopt(winner, parents)  # the winner has no children: no cycle
         for cause in bits(info.declared_causes(winner) & ~parents):
             warnings.append(
                 DeviationWarning(

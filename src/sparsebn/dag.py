@@ -129,11 +129,13 @@ class Dag:
         self._parent_masks[child] |= 1 << parent
         self._mutations += 1
 
-    def _link(self, parent: int, child: int) -> None:
-        """``add_arc`` unchecked, for a caller that knows the arc is new and
-        closes no cycle."""
-        self._child_masks[parent] |= 1 << child
-        self._parent_masks[child] |= 1 << parent
+    def _adopt(self, child: int, parents: int) -> None:
+        """``add_arc`` from each node of the mask ``parents`` to ``child``,
+        unchecked, for a caller that knows no such arc closes a cycle."""
+        self._parent_masks[child] |= parents
+        bit = 1 << child
+        for p in bits(parents):
+            self._child_masks[p] |= bit
         self._mutations += 1
 
     def has_arc(self, parent: int, child: int) -> bool:

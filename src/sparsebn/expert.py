@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .dag import Dag, CycleError, NodeSet, bits, mask_of
+from .dag import Dag, CycleError, NodeSet, mask_of
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,15 @@ class ExpertInfo:
             raise ValueError("candidates must be non-empty")
         tier = cands & self.hypotheses or cands & ~self.evidence or cands
         closures = self.info_dag.ancestor_closures()
-        return [c for c in bits(tier) if closures[c] & tier == 1 << c]
+        maximal = []
+        rest = tier
+        while rest:
+            low = rest & -rest
+            c = low.bit_length() - 1
+            if closures[c] & tier == low:
+                maximal.append(c)
+            rest ^= low
+        return maximal
 
 
 def parse_statements(text: str, source: str = "<expert>") -> list[ExpertStatement]:

@@ -89,7 +89,7 @@ def random_dag(spec: RandomDagSpec) -> Dag:
             break
         if cap is not None and in_degree[child] >= cap:
             continue
-        dag._link(parent, child)  # forward in ``order``, so it closes no cycle
+        dag._adopt(child, 1 << parent)  # forward in ``order``, so it closes no cycle
         in_degree[child] += 1
         placed += 1
     assert placed == m
@@ -124,10 +124,11 @@ def sensitivity_experiment(
     come back ordered by (trial, step) and compare equal across replays
     (elapsed_ms is informational and excluded from equality).
 
-    Every rebuild of a trial resumes the one before it: the steps up to the
-    first whose race differs are replayed, not searched, and the results,
-    counts included, equal fresh builds. ``verify_imaps`` re-checks every
-    rebuilt network against the oracle with ``is_imap``.
+    The rebuilds of a study share one table of build steps: each rebuild
+    follows the longest run of steps that any earlier rebuild of the study
+    took, from the first, and searches only from there. The results, counts
+    included, equal fresh builds. ``verify_imaps`` re-checks every rebuilt
+    network against the oracle with ``is_imap``.
     """
     if deletions_per_step < 1:
         raise ValueError("deletions_per_step must be >= 1")
@@ -138,11 +139,11 @@ def sensitivity_experiment(
     master = random.Random(seed)
     trial_seeds = [master.randrange(2**32) for _ in range(trials)]
     oracle = DsepOracle(ground_truth)
+    replay = _Replay()
 
     records: list[ExperimentRecord] = []
     for trial, trial_seed in enumerate(trial_seeds):
         rng = random.Random(trial_seed)
-        replay = _Replay()
         statements = full_expert_info(ground_truth)
         labels = [s for s in statements if not isinstance(s, CauseOf)]
         causes = [s for s in statements if isinstance(s, CauseOf)]

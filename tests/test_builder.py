@@ -671,8 +671,8 @@ class _Failing(CountingOracle):
 
 
 def test_a_replay_survives_a_build_that_raised():
-    # an aborted step leaves cache writes past the last recorded step; the
-    # next build rolls them back before it searches that step
+    # an aborted step is never recorded, and its cache writes go with its
+    # build, so the next build searches that step from a clean cache
     truth = random_dag(RandomDagSpec(9, 14, seed=8))
     names = truth.names()
     statements = full_expert_info(truth)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sparsebn import CycleError, Dag, DuplicateNodeError, UnknownNodeError
+from sparsebn.dag import mask_of
 
 from conftest import make_dag
 
@@ -146,3 +147,27 @@ def test_random_insertions_preserve_invariants():
             assert v not in dag.ancestors(v)
             for u in dag.ancestors(v):
                 assert v in dag.descendants(u)
+
+
+def test_adopt_matches_add_arc_and_refreshes_closures():
+    rng = random.Random(77)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        checked = Dag(f"v{i}" for i in range(n))
+        adopted = Dag(f"v{i}" for i in range(n))
+        order = list(range(n))
+        rng.shuffle(order)
+        for i, child in enumerate(order):
+            parents = [p for p in order[:i] if rng.random() < 0.5]
+            for p in parents:
+                checked.add_arc(p, child)
+            split = rng.randint(0, len(parents))  # adopting in two parts adds both
+            for part in (parents[:split], parents[split:]):
+                adopted.ancestor_closures()  # cached before each adoption
+                adopted._adopt(child, mask_of(part))
+            assert adopted == checked
+            assert [adopted.parents(v) for v in range(n)] == [
+                checked.parents(v) for v in range(n)
+            ]
+            closures = adopted.ancestor_closures()
+            assert closures == [mask_of(checked.ancestors(v)) | 1 << v for v in range(n)]

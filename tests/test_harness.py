@@ -3,6 +3,7 @@ import io
 import pytest
 
 from sparsebn import (
+    BuildConfig,
     CauseOf,
     DsepOracle,
     Evidence,
@@ -137,8 +138,8 @@ def test_experiment_networks_are_imaps_at_paper_scale():
 
 
 def test_resumed_rebuilds_match_fresh_and_reference_builds(monkeypatch):
-    # every rebuild the study makes, most of them resumed from the rebuild
-    # before, equals a fresh build and the reference build
+    # every rebuild the study makes, most of them following steps an earlier
+    # rebuild searched, equals a fresh build and the reference build
     captured = []
     searched = 0
 
@@ -168,6 +169,77 @@ def test_resumed_rebuilds_match_fresh_and_reference_builds(monkeypatch):
             assert result_bytes(result) == result_bytes(other), config
             assert result.oracle_calls == other.oracle_calls, config
             assert result.minimality_guaranteed == other.minimality_guaranteed
+
+
+class _Searches:
+    """Counts the ``builder.select_winner`` calls, one per searched step."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        real = builder.select_winner
+
+        def counted(*args):
+            self.count += 1
+            return real(*args)
+
+        monkeypatch.setattr(builder, "select_winner", counted)
+
+
+def _study(monkeypatch, truth, **kwargs):
+    """The study's records, each with its rebuild's searched steps, expert
+    info, config and result; and the search counter."""
+    searches = _Searches(monkeypatch)
+    rebuilds = []
+
+    def capturing_build(model, universe, info, config, **kw):
+        searches.count = 0
+        result = build(model, universe, info, config, **kw)
+        rebuilds.append((searches.count, info, config, result))
+        return result
+
+    monkeypatch.setattr(harness, "build", capturing_build)
+    records = sensitivity_experiment(truth, **kwargs)
+    assert len(records) == len(rebuilds)
+    return list(zip(records, rebuilds)), searches
+
+
+def test_a_study_searches_its_full_information_build_once(monkeypatch):
+    truth = random_dag(RandomDagSpec(8, 12, seed=4))
+    study, _ = _study(monkeypatch, truth, trials=3, seed=5)
+    first = [
+        searched
+        for record, (searched, *_) in study
+        if record.expert_arc_count == truth.arc_count
+    ]
+    assert first == [truth.node_count, 0, 0]
+
+
+def test_a_rebuild_follows_the_steps_of_an_earlier_trial(monkeypatch):
+    # each trial ends with the labels-only rebuild, which after the first
+    # trial searches nothing, where a replay of the rebuild before it in its
+    # own trial would search
+    truth = random_dag(RandomDagSpec(8, 12, seed=4))
+    universe = truth.names()
+    for config in (BuildConfig(), BuildConfig(trust_expert=True)):
+        study, searches = _study(monkeypatch, truth, trials=3, seed=5, config=config)
+        own_trial = []
+        for trial in (1, 2):
+            (_, (_, before, *_)), (_, (searched, info, _, result)) = [
+                entry for entry in study if entry[0].trial == trial
+            ][-2:]
+            assert searched == 0
+            replay, oracle = builder._Replay(), DsepOracle(truth)
+            build(oracle, universe, before, config, _replay=replay)
+            searches.count = 0
+            build(oracle, universe, info, config, _replay=replay)
+            own_trial.append(searches.count)
+            fresh = build(DsepOracle(truth), universe, info, config)
+            want = reference_build(DsepOracle(truth), universe, info, config)
+            for other in (fresh, want):
+                assert result_bytes(result) == result_bytes(other), config
+                assert result.oracle_calls == other.oracle_calls, config
+                assert result.minimality_guaranteed == other.minimality_guaranteed
+        assert any(own_trial), config
 
 
 def test_experiment_validates_arguments(fig_common_cause):
